@@ -1,26 +1,14 @@
-//! Shared fault-injection plumbing for the durability and transport
-//! chaos suites.
+//! Shared fault-injection plumbing for the durability suites.
 //!
-//! Before this module, each fault surface grew its own knobs: [`VecIo`]
-//! carried fail-after-N-bytes / short-write / failing-sync fields,
-//! [`SharedVecIo`] carried a subset, and the sharded transport was about
-//! to grow a third set. Now every injector configures faults the same
-//! way:
+//! Every in-memory sink configures its faults the same way:
 //!
 //! * [`IoFaultPlan`] — the *deterministic* byte-counted faults of a
 //!   [`DurableIo`] sink: ENOSPC at an exact byte offset, a maximum
 //!   accepted chunk per `write` call (forces short writes), and failing
 //!   `sync`. Consumed by [`VecIo::with_faults`] and
 //!   [`SharedVecIo::with_faults`].
-//! * [`ChaosPlan`] — the *seeded probabilistic* faults of the sharded
-//!   transport ([`crate::sharded::ChaosTransport`]): per-message drop /
-//!   duplicate / reorder probabilities and a bounded delivery delay,
-//!   drawn from a [`Dice`] so every schedule is reproducible from its
-//!   seed.
-//! * [`Dice`] — the seeded roller behind every probabilistic injector.
-//! * [`ManualClock`] — a hand-advanced [`Clock`] so retry-with-backoff
-//!   timers (and the serving deadline trigger) get exact tests instead
-//!   of sleep-based ones.
+//! * [`ManualClock`] — a hand-advanced [`Clock`] so timers (the serving
+//!   deadline trigger) get exact tests instead of sleep-based ones.
 //!
 //! [`VecIo`]: crate::wal::VecIo
 //! [`SharedVecIo`]: crate::wal::SharedVecIo
@@ -29,8 +17,6 @@
 //! [`SharedVecIo::with_faults`]: crate::wal::SharedVecIo::with_faults
 //! [`Clock`]: crate::serving::Clock
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
@@ -144,148 +130,10 @@ impl IoFaultPlan {
     }
 }
 
-/// The seeded roller behind every probabilistic injector: a thin wrapper
-/// over [`StdRng`] whose draws are reproducible from the seed, so a
-/// failing chaos schedule is re-runnable bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct Dice {
-    rng: StdRng,
-}
-
-impl Dice {
-    /// A roller with a fixed seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`). `p <= 0` never
-    /// consumes a draw, so disabled fault channels do not perturb the
-    /// schedule of enabled ones.
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        self.rng.gen_bool(p)
-    }
-
-    /// A uniform draw from `0..n` (`0` when `n == 0`).
-    pub fn pick(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        self.rng.gen_range(0..n)
-    }
-}
-
-/// Seeded fault schedule of a chaos transport: per-message drop,
-/// duplicate and reorder probabilities plus a bounded delivery delay.
-/// All probabilities are per *send*; a duplicated message rolls its
-/// delay and reorder independently per copy. The default plan is clean
-/// (every channel zero) — chaos is always opted into explicitly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosPlan {
-    /// Seed of the [`Dice`] driving every draw.
-    pub seed: u64,
-    /// Probability a sent message is silently dropped.
-    pub drop: f64,
-    /// Probability a sent message is delivered twice.
-    pub duplicate: f64,
-    /// Probability a delivery is re-keyed to land out of order relative
-    /// to same-tick traffic.
-    pub reorder: f64,
-    /// Maximum delivery delay in transport ticks (0 = always immediate).
-    /// Delays are *bounded*: every non-dropped message is deliverable at
-    /// most `max_delay` ticks after its send.
-    pub max_delay: u64,
-}
-
-impl Default for ChaosPlan {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            drop: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            max_delay: 0,
-        }
-    }
-}
-
-impl ChaosPlan {
-    /// A clean plan (no faults) under `seed`.
-    pub fn clean(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
-    }
-
-    /// A drop-heavy schedule.
-    pub fn drops(seed: u64, p: f64) -> Self {
-        Self {
-            seed,
-            drop: p,
-            ..Self::default()
-        }
-    }
-
-    /// A duplicate-heavy schedule.
-    pub fn duplicates(seed: u64, p: f64) -> Self {
-        Self {
-            seed,
-            duplicate: p,
-            ..Self::default()
-        }
-    }
-
-    /// A reorder + bounded-delay schedule.
-    pub fn reorders(seed: u64, p: f64, max_delay: u64) -> Self {
-        Self {
-            seed,
-            reorder: p,
-            max_delay,
-            ..Self::default()
-        }
-    }
-
-    /// Every fault channel at once — the schedule the differential chaos
-    /// harness leans on.
-    pub fn mixed(seed: u64) -> Self {
-        Self {
-            seed,
-            drop: 0.15,
-            duplicate: 0.15,
-            reorder: 0.3,
-            max_delay: 3,
-        }
-    }
-
-    /// Re-seeds this plan from the `UCPC_CHAOS_SEED` environment knob
-    /// (non-negative integer), through the shared warn-and-fall-back
-    /// reader — an unset or invalid value keeps the plan's own seed. CI's
-    /// chaos job sweeps this knob to vary fault schedules without
-    /// touching the test code.
-    pub fn seed_from_env(mut self) -> Self {
-        if let Some(seed) =
-            ucpc_uncertain::env::read_knob("UCPC_CHAOS_SEED", "non-negative integer", |v| {
-                v.parse::<u64>().ok()
-            })
-        {
-            self.seed = seed;
-        }
-        self
-    }
-}
-
 /// A hand-advanced [`crate::serving::Clock`]: `now` starts at an
 /// arbitrary base instant and moves only through [`ManualClock::advance`].
-/// Clones share the same time, so a harness can hand one clone to a
-/// retry state machine and keep advancing through another.
+/// Clones share the same time, so a harness can hand one clone to an
+/// engine and keep advancing through another.
 #[derive(Debug, Clone)]
 pub struct ManualClock {
     base: Instant,
@@ -336,20 +184,6 @@ mod tests {
             failing.check_sync(7),
             Err(IoFault::Failed { at: 7, .. })
         ));
-    }
-
-    #[test]
-    fn dice_is_reproducible_and_respects_edges() {
-        let mut a = Dice::new(42);
-        let mut b = Dice::new(42);
-        for _ in 0..64 {
-            assert_eq!(a.chance(0.5), b.chance(0.5));
-            assert_eq!(a.pick(7), b.pick(7));
-        }
-        let mut d = Dice::new(1);
-        assert!(!d.chance(0.0));
-        assert!(d.chance(1.0));
-        assert_eq!(d.pick(0), 0);
     }
 
     #[test]

@@ -45,13 +45,17 @@ pub enum ClusterError {
     },
     /// A streaming [`ObjectHandle`](ucpc_uncertain::ObjectHandle) names an
     /// object that is gone: already removed, or its slot recycled to a
-    /// later occupant. Both streaming backends return this identically.
+    /// later occupant.
     StaleHandle {
         /// The handle's storage slot.
         slot: u32,
         /// The generation the handle was issued under.
         generation: u32,
     },
+    /// An arrival's moments hold a NaN or ±∞ entry, or an aggregate of
+    /// them overflows: the objective is undefined for it, so the engine
+    /// refuses it instead of folding it into a cluster.
+    NonFinite,
 }
 
 impl fmt::Display for ClusterError {
@@ -81,6 +85,7 @@ impl fmt::Display for ClusterError {
                 f,
                 "stale handle: slot {slot} generation {generation} is not live"
             ),
+            ClusterError::NonFinite => write!(f, "object moments are not finite"),
         }
     }
 }

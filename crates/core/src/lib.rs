@@ -41,15 +41,16 @@
 //! [`restarts::BestOfRestarts`]'s restart queue) share the work-stealing
 //! [`scheduler::WorkPool`] and the `UCPC_THREADS` resolution helper
 //! ([`scheduler::resolve_threads`]); [`parallel::SharedStats`] adds
-//! per-cluster version counters so the propose phase runs snapshot-free
-//! (env knob `UCPC_PARALLEL`). The streaming driver
-//! ([`incremental::IncrementalUcpc`]) stores its live window in a
-//! [`ucpc_uncertain::SlabArena`] (free-list row reuse, env knob
-//! `UCPC_STREAMING`), routes placements through the dot3-batched
-//! [`pruning::best_insertion`] scan, and performs edits through the
-//! drift-tracked updates so pruning bounds survive them — only a cluster
-//! passing through size < 2 surgically invalidates the entries rooted in
-//! it, via the per-cluster version counters of [`pruning`].
+//! per-cluster version counters so the propose phase runs snapshot-free.
+//! The streaming driver ([`incremental::IncrementalUcpc`]) stores its live
+//! window in a [`ucpc_uncertain::SlabArena`] (free-list row reuse), routes
+//! placements through the dot3-batched [`pruning::best_insertion`] scan,
+//! and performs edits through the drift-tracked updates so pruning bounds
+//! survive them — only a cluster passing through size < 2 surgically
+//! invalidates the entries rooted in it, via the per-cluster version
+//! counters of [`pruning`]. [`snapshot`] serializes it in one checksummed,
+//! chunked format; [`serving`] and [`wal`] put a batched, write-ahead-logged
+//! front door on it.
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -82,13 +83,12 @@ pub mod pruning;
 pub mod restarts;
 pub mod scheduler;
 pub mod serving;
-pub mod sharded;
 pub mod snapshot;
 pub mod ucentroid;
 pub mod ucpc;
 pub mod wal;
 
-pub use fault::{ChaosPlan, Dice, IoFaultPlan, ManualClock};
+pub use fault::{IoFaultPlan, ManualClock};
 
 pub use framework::{ClusterError, Clustering, UncertainClusterer};
 pub use init::Initializer;
@@ -97,7 +97,6 @@ pub use pruning::{PruneCounters, PruningConfig};
 pub use serving::{
     Clock, PlacementAnswer, ServingConfig, ServingError, ServingResponse, ServingUcpc, SystemClock,
 };
-pub use sharded::{ChaosTransport, MpscTransport, ShardedUcpc, Transport};
 pub use snapshot::SnapshotError;
 pub use ucentroid::UCentroid;
 pub use ucpc::{Ucpc, UcpcResult};

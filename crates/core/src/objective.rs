@@ -267,12 +267,10 @@ impl ClusterStats {
         cross
     }
 
-    /// One object's statistics as a standalone singleton aggregate — the
-    /// unit the sharded layer ships as a `ClusterStats` delta. Merging a
-    /// singleton into live statistics ([`Self::merge`]) performs exactly
-    /// the arithmetic of [`Self::add_view`], so a replica applying shipped
-    /// singletons in log order stays bit-identical to a node applying the
-    /// views directly.
+    /// One object's statistics as a standalone singleton aggregate. Merging
+    /// a singleton into live statistics ([`Self::merge`]) performs exactly
+    /// the arithmetic of [`Self::add_view`], so applying singletons in a
+    /// fixed order stays bit-identical to applying the views directly.
     pub fn from_view(v: &MomentView<'_>) -> Self {
         let mut s = Self::empty(v.dims());
         s.add_view(v);
@@ -293,8 +291,7 @@ impl ClusterStats {
     ///
     /// The merge is commutative in the mathematical sense; like any
     /// floating-point reduction it is not *associative* at the bit level,
-    /// which is why the sharded protocol fixes one global apply order (the
-    /// replicated log) rather than merging opportunistically. Drift
+    /// so a bit-exact combine needs one fixed apply order. Drift
     /// accumulators are bookkeeping outside the statistics proper and are
     /// left untouched.
     pub fn merge(&mut self, other: &ClusterStats) {
@@ -1169,9 +1166,8 @@ mod tests {
     #[test]
     fn shard_partials_merge_to_the_global_aggregate() {
         // Two shards each hold half the cluster; merging the partials
-        // reproduces the global statistics mathematically (the bit-level
-        // order sensitivity is exactly why the sharded protocol replays
-        // one global log instead of merging opportunistically).
+        // reproduces the global statistics mathematically (not bitwise:
+        // the floating-point combine is order-sensitive).
         let objs = objects();
         let global = ClusterStats::from_members(objs.iter());
         let mut shard0 = ClusterStats::from_members(objs[..2].iter());

@@ -37,10 +37,9 @@
 //!
 //! # Why batched pricing is bit-identical to serial
 //!
-//! The correctness bar is the one every backend of the engine has met: a
-//! committed batch of `B` arrivals must leave labels, `ClusterStats` and
-//! the objective **byte-identical** to `B` serial
-//! [`IncrementalUcpc::insert`] calls. That holds by construction:
+//! The correctness bar: a committed batch of `B` arrivals must leave
+//! labels, `ClusterStats` and the objective **byte-identical** to `B`
+//! serial [`IncrementalUcpc::insert`] calls. That holds by construction:
 //!
 //! * **Deltas.** Serial placement scans fold
 //!   `delta = stats[c].delta_j_add(v)` over ascending `c` (the pruned scan,
@@ -72,7 +71,7 @@
 //!   commit).
 //! * **Storage.** The staged copy of an arrival is written and re-read
 //!   **verbatim** — [`MomentArena::overwrite_row`] on admission,
-//!   [`MomentStore::insert_view`] on commit copy every moment row and
+//!   [`SlabArena::insert_view`] on commit copy every moment row and
 //!   scalar aggregate bit for bit, deriving nothing — and
 //!   `IncrementalUcpc::commit_placed` replays the serial insert's exact
 //!   mutation sequence (tracked statistics update, verbatim store, label
@@ -85,7 +84,7 @@
 //!   arrivals were batched, and a serial replay reproduces them exactly.
 //!
 //! The differential harness (`tests/serving_differential.rs`) pins all of
-//! this across batch sizes × storage backends × pruning × SIMD backends.
+//! this across batch sizes × pruning × SIMD backends.
 //!
 //! # Durability
 //!
@@ -99,7 +98,7 @@
 //! the first fault the writer stays poisoned (the file tail is
 //! indeterminate, so later frames could be unreachable) until the caller
 //! rotates logs. [`ServingUcpc::checkpoint_into`] is that rotation:
-//! stream a chunked v2 snapshot, sync it, start a fresh log.
+//! stream a chunked snapshot, sync it, start a fresh log.
 //! [`crate::wal::recover`]`(snapshot, wal)` then rebuilds an engine
 //! byte-identical to the never-crashed run at every crash point — the
 //! derivation lives in the [`crate::wal`] module docs, and
@@ -122,13 +121,13 @@
 //! [`AddPricer`]: crate::objective::AddPricer
 //! [`DISPATCH_THRESHOLD`]: ucpc_uncertain::simd::DISPATCH_THRESHOLD
 //! [`MomentArena::overwrite_row`]: ucpc_uncertain::MomentArena::overwrite_row
-//! [`MomentStore::insert_view`]: crate::incremental::IncrementalUcpc
+//! [`SlabArena::insert_view`]: ucpc_uncertain::SlabArena::insert_view
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::framework::ClusterError;
-use crate::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use crate::incremental::{IncrementalUcpc, ObjectHandle};
 use crate::objective::AddPricer;
 use crate::wal::{DurableIo, VecIo, WalError, WalFsync, WalWriter};
 use ucpc_uncertain::simd::{dot_block, DISPATCH_THRESHOLD};
@@ -182,6 +181,9 @@ pub enum ServingError {
         /// The arrival's dimensionality.
         found: usize,
     },
+    /// The arrival's moments hold a NaN or ±∞ entry, or an aggregate of
+    /// them overflows: it was *not* admitted, and nothing is logged for it.
+    NonFinite,
 }
 
 impl std::fmt::Display for ServingError {
@@ -196,6 +198,7 @@ impl std::fmt::Display for ServingError {
                     "arrival has {found} dimensions, engine expects {expected}"
                 )
             }
+            Self::NonFinite => write!(f, "arrival moments are not finite"),
         }
     }
 }
@@ -462,22 +465,9 @@ pub struct ServingUcpc {
 
 impl ServingUcpc {
     /// A serving layer over a fresh engine of `m` dimensions and `k`
-    /// clusters on the env-default storage backend.
+    /// clusters.
     pub fn new(m: usize, k: usize, cfg: ServingConfig) -> Result<Self, ClusterError> {
         Ok(Self::over(IncrementalUcpc::new(m, k)?, cfg))
-    }
-
-    /// [`Self::new`] with an explicit storage backend.
-    pub fn with_backend(
-        m: usize,
-        k: usize,
-        backend: StreamBackend,
-        cfg: ServingConfig,
-    ) -> Result<Self, ClusterError> {
-        Ok(Self::over(
-            IncrementalUcpc::with_backend(m, k, backend)?,
-            cfg,
-        ))
     }
 
     /// Wraps an existing live engine (its current partition is served
@@ -567,7 +557,7 @@ impl ServingUcpc {
     }
 
     /// Checkpoint + log-rotate, the durability maintenance step: streams a
-    /// v2 snapshot of the **flushed** engine state into `snapshot_io`
+    /// snapshot of the **flushed** engine state into `snapshot_io`
     /// (chunked — never materializes the full state; see
     /// [`IncrementalUcpc::write_snapshot`]), syncs it, then starts a fresh
     /// write-ahead log on `wal_io` and returns the retired writer (whose
@@ -630,6 +620,9 @@ impl ServingUcpc {
                 expected: self.engine.m,
                 found: mo.dims(),
             });
+        }
+        if !mo.view().is_finite() {
+            return Err(ServingError::NonFinite);
         }
         let row = self
             .free_rows
@@ -1058,6 +1051,7 @@ impl ServingUcpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ManualClock;
     use ucpc_uncertain::UnivariatePdf;
 
     fn obj(c: f64) -> UncertainObject {
@@ -1204,20 +1198,10 @@ mod tests {
         assert!(warning.unwrap().contains("UCPC_WAL=\"yes\""));
     }
 
-    /// Manual clock for exact deadline tests: no sleeping, no flakiness.
-    #[derive(Debug, Clone)]
-    struct FakeClock(std::rc::Rc<std::cell::Cell<Instant>>);
-
-    impl Clock for FakeClock {
-        fn now(&self) -> Instant {
-            self.0.get()
-        }
-    }
-
     #[test]
     fn deadline_trigger_is_exact_under_an_injected_clock() {
-        let start = Instant::now();
-        let hand = std::rc::Rc::new(std::cell::Cell::new(start));
+        // Manual clock: no sleeping, no flakiness.
+        let hand = ManualClock::new();
         let mut serving = ServingUcpc::new(
             2,
             2,
@@ -1227,22 +1211,21 @@ mod tests {
             },
         )
         .unwrap();
-        serving.set_clock(Box::new(FakeClock(hand.clone())));
+        serving.set_clock(Box::new(hand.clone()));
         serving.submit_query_object(&obj(1.0)).unwrap();
         // One tick short of the deadline: nothing fires.
-        hand.set(start + Duration::from_secs(5) - Duration::from_nanos(1));
+        hand.advance(Duration::from_secs(5) - Duration::from_nanos(1));
         assert_eq!(serving.poll_now(), 0);
         // Exactly at the deadline: the flush fires.
-        hand.set(start + Duration::from_secs(5));
+        hand.advance(Duration::from_nanos(1));
         assert_eq!(serving.poll_now(), 1);
         // The stamp comes from the injected clock too: a request admitted
         // at a later hand position is due exactly 5s after *that*.
-        let t1 = start + Duration::from_secs(100);
-        hand.set(t1);
+        hand.advance(Duration::from_secs(95));
         serving.submit_query_object(&obj(2.0)).unwrap();
-        hand.set(t1 + Duration::from_secs(4));
+        hand.advance(Duration::from_secs(4));
         assert_eq!(serving.poll_now(), 0);
-        hand.set(t1 + Duration::from_secs(5));
+        hand.advance(Duration::from_secs(1));
         assert_eq!(serving.poll_now(), 1);
     }
 

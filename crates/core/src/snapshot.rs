@@ -1,15 +1,15 @@
 //! Versioned binary snapshot/restore for the streaming engine.
 //!
-//! [`IncrementalUcpc::snapshot`] serializes the complete logical state of a
-//! live clustering — storage backend and its moment rows, slot generations
-//! and free-list, labels, per-cluster [`ClusterStats`] (including the drift
-//! accumulators), the pruning configuration, and the invalidation
-//! watermarks (`epoch`, per-cluster `versions`, global drift totals) — into
-//! a self-describing byte buffer. [`IncrementalUcpc::restore`] reassembles
-//! an engine that is **bit-identical** to the original: continuing the same
-//! edit script on the restored engine produces byte-for-byte the labels,
-//! statistics bits and objective of the uninterrupted run, across both
-//! backends, pruning on/off and every SIMD backend
+//! [`IncrementalUcpc::snapshot`] / [`IncrementalUcpc::write_snapshot`]
+//! serialize the complete logical state of a live clustering — moment rows,
+//! slot generations and free-list, labels, per-cluster [`ClusterStats`]
+//! (including the drift accumulators), the pruning configuration, and the
+//! invalidation watermarks (`epoch`, per-cluster `versions`, global drift
+//! totals) — into a self-describing byte stream. [`IncrementalUcpc::restore`]
+//! reassembles an engine that is **bit-identical** to the original:
+//! continuing the same edit script on the restored engine produces
+//! byte-for-byte the labels, statistics bits and objective of the
+//! uninterrupted run, across pruning on/off and every SIMD backend
 //! (`tests/snapshot_roundtrip.rs`).
 //!
 //! # Why the round-trip is exact
@@ -33,27 +33,25 @@
 //! cached after restore are validated against exactly the history the
 //! original engine would have used.
 //!
-//! # Formats
+//! # Format
 //!
-//! Two wire versions share the `UCPCSNAP` magic. **v1** is the original
-//! single-buffer layout below; [`IncrementalUcpc::snapshot`] still writes
-//! it and [`IncrementalUcpc::restore`] reads both. **v2**
-//! ([`IncrementalUcpc::write_snapshot`] /
-//! [`IncrementalUcpc::snapshot_v2`]) carries the *same logical fields* —
-//! bit for bit, in the same order — but streams them as bounded,
-//! individually CRC-32-checksummed chunks over a [`DurableIo`] sink, so a
-//! checkpoint never materializes the full state in one buffer (the moment
-//! rows, the dominant term, go out [`ROWS_PER_CHUNK`] rows at a time) and
-//! any single flipped or torn byte is caught by the chunk checksum rather
-//! than by downstream validation:
+//! The stream is a sequence of bounded, individually CRC-32-checksummed
+//! chunks over a [`DurableIo`] sink, so a checkpoint never materializes the
+//! full state in one buffer (the moment rows, the dominant term, go out
+//! [`ROWS_PER_CHUNK`] rows at a time) and any single flipped or torn byte
+//! is caught by the chunk checksum rather than by downstream validation.
+//! Integers are little-endian; `f64` is [`f64::to_bits`] little-endian.
 //!
 //! ```text
 //! magic    8 × u8   "UCPCSNAP"
-//! version  u32      2
+//! version  u32      2 (readers reject every other version)
 //! chunk    kind u8 | len u32 | payload len × u8 | crc u32 (over kind‖len‖payload)
-//!   kind 1 META     backend u8, pruning u8, m u64, k u64, live u64,
-//!                   epoch u64, n_slots u64, n_free u64, versions k × u64,
-//!                   totals 6 × f64, stats k × {…}   (exactly the v1 fields)
+//!   kind 1 META     backend u8 (always 1), pruning u8 (0 = Off, 1 = Bounds),
+//!                   m u64, k u64, live u64, epoch u64, n_slots u64,
+//!                   n_free u64, versions k × u64, totals 6 × f64,
+//!                   stats k × { size u64, psi m × f64, phi m × f64,
+//!                               mean_sum m × f64, psi_tot f64, phi_tot f64,
+//!                               s_sq_tot f64, drift 6 × f64 }
 //!   kind 2 SLOTS    per slot: flag u8, label u64 if live, gen u32
 //!                   (≤ SLOTS_PER_CHUNK slots per chunk, ascending)
 //!   kind 3 FREE     freed slots u32, LIFO order (≤ FREE_PER_CHUNK each)
@@ -62,49 +60,29 @@
 //!   kind 5 END      empty — a stream without it is truncated
 //! ```
 //!
-//! Chunk boundaries are fixed constants, so the v2 bytes of a given engine
-//! state are deterministic and `snapshot_v2(restore(s)) == s` holds
-//! bytewise, exactly like v1. Restore clamps every length field against
-//! the bytes actually remaining *before* allocating, so a hostile or
-//! bit-flipped count fails fast as [`SnapshotError::Truncated`] instead of
-//! reserving unbounded memory (`tests/snapshot_fuzz.rs` fuzzes both
-//! versions with truncations and bit flips).
+//! Version 1 — an unchunked single-buffer layout of the same fields — is no
+//! longer read: it restores as [`SnapshotError::UnsupportedVersion`]. The
+//! META backend byte names the slab row store, the only one there is; any
+//! value other than 1 is [`SnapshotError::Corrupt`].
 //!
-//! # v1 format
-//!
-//! Integers are little-endian; `f64` is [`f64::to_bits`] little-endian.
-//!
-//! ```text
-//! magic    8 × u8   "UCPCSNAP"
-//! version  u32      1 (bumped on any layout change; readers reject others)
-//! backend  u8       0 = Objects, 1 = Slab
-//! pruning  u8       0 = Off, 1 = Bounds
-//! m        u64      dimensions
-//! k        u64      clusters
-//! live     u64      live-object count (validated against the slot flags)
-//! epoch    u64      prune-cache epoch
-//! versions k × u64  per-cluster remove-direction versions
-//! totals   6 × f64  global drift totals
-//! stats    k × { size u64, psi m × f64, phi m × f64, mean_sum m × f64,
-//!                psi_tot f64, phi_tot f64, s_sq_tot f64, drift 6 × f64 }
-//! n_slots  u64      storage slots ever created (live-window high-water mark)
-//! slots    n_slots × { live u8, label u64 if live }
-//! gens     n_slots × u32
-//! n_free   u64      free-list length (== n_slots − live)
-//! free     n_free × u32   freed slots, LIFO order preserved
-//! rows     live × { mu m × f64, mu2 m × f64 }   ascending slot order
-//! ```
+//! Chunk boundaries are fixed constants, so the bytes of a given engine
+//! state are deterministic and `snapshot(restore(s)) == s` holds bytewise.
+//! Restore clamps every length field against the bytes actually remaining
+//! *before* allocating, so a hostile or bit-flipped count fails fast as
+//! [`SnapshotError::Truncated`] instead of reserving unbounded memory
+//! (`tests/snapshot_fuzz.rs` fuzzes it with truncations and bit flips).
 
-use crate::incremental::{IncrementalUcpc, MomentStore, StreamBackend};
+use crate::incremental::IncrementalUcpc;
 use crate::objective::{ClusterDrift, ClusterStats};
 use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
 use crate::wal::{crc32, DurableIo, IoFault, VecIo};
 use std::fmt;
-use ucpc_uncertain::{MomentArena, Moments, SlabArena};
+use ucpc_uncertain::{MomentArena, SlabArena};
 
 const MAGIC: &[u8; 8] = b"UCPCSNAP";
-const VERSION: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
+/// The META backend byte: the slab row store.
+const BACKEND_SLAB: u8 = 1;
 
 const CHUNK_META: u8 = 1;
 const CHUNK_SLOTS: u8 = 2;
@@ -112,12 +90,12 @@ const CHUNK_FREE: u8 = 3;
 const CHUNK_ROWS: u8 = 4;
 const CHUNK_END: u8 = 5;
 
-/// Moment rows per v2 `ROWS` chunk — the writer's peak buffer is
+/// Moment rows per `ROWS` chunk — the writer's peak buffer is
 /// `ROWS_PER_CHUNK × 16m` bytes regardless of how many objects are live.
 pub const ROWS_PER_CHUNK: usize = 512;
-/// Slot entries per v2 `SLOTS` chunk.
+/// Slot entries per `SLOTS` chunk.
 pub const SLOTS_PER_CHUNK: usize = 4096;
-/// Free-list entries per v2 `FREE` chunk.
+/// Free-list entries per `FREE` chunk.
 pub const FREE_PER_CHUNK: usize = 4096;
 
 /// Errors from [`IncrementalUcpc::restore`].
@@ -132,10 +110,10 @@ pub enum SnapshotError {
     /// The buffer decodes to an inconsistent state (bad tag, slot count,
     /// label range, free-list shape, or trailing bytes).
     Corrupt(&'static str),
-    /// A v2 chunk failed its CRC-32 — a flipped or torn byte inside the
+    /// A chunk failed its CRC-32 — a flipped or torn byte inside the
     /// named section.
     ChecksumMismatch(&'static str),
-    /// The [`DurableIo`] sink faulted while streaming a v2 snapshot out.
+    /// The [`DurableIo`] sink faulted while streaming a snapshot out.
     Io(IoFault),
 }
 
@@ -146,7 +124,7 @@ impl fmt::Display for SnapshotError {
             Self::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "snapshot format version {v} is not supported (expected {VERSION} or {VERSION_V2})"
+                    "snapshot format version {v} is not supported (expected {VERSION})"
                 )
             }
             Self::Truncated => write!(f, "snapshot buffer is truncated"),
@@ -182,7 +160,7 @@ impl Writer {
         crate::wal::extend_f64_bits(&mut self.buf, vs);
     }
 
-    /// Starts a v2 chunk: kind byte plus a length placeholder patched by
+    /// Starts a chunk: kind byte plus a length placeholder patched by
     /// [`Self::finish_chunk`]. The buffer is reused across chunks, so the
     /// writer's peak memory is one chunk, not the whole snapshot.
     fn begin_chunk(&mut self, kind: u8) {
@@ -285,36 +263,8 @@ fn read_drift(r: &mut Reader<'_>) -> Result<ClusterDrift, SnapshotError> {
     })
 }
 
-fn slot_gen(store: &MomentStore, slot: usize) -> u32 {
-    match store {
-        MomentStore::Objects { gens, .. } => gens[slot],
-        MomentStore::Slab { slab } => slab.generation(slot),
-    }
-}
-
-fn free_list(store: &MomentStore) -> &[u32] {
-    match store {
-        MomentStore::Objects { free, .. } => free,
-        MomentStore::Slab { slab } => slab.free_slots(),
-    }
-}
-
-fn row_of(store: &MomentStore, slot: usize) -> (&[f64], &[f64]) {
-    match store {
-        MomentStore::Objects { objects, .. } => {
-            let mo = objects[slot].as_ref().expect("live slot has a row");
-            (mo.mu(), mo.mu2())
-        }
-        MomentStore::Slab { slab } => {
-            let v = slab.view(slot);
-            (v.mu, v.mu2)
-        }
-    }
-}
-
-/// Decoded v2 `META` chunk — everything except the per-slot sections
-/// (the backend tag lives on as the [`RowSink`] variant).
-struct V2Meta {
+/// Decoded `META` chunk — everything except the per-slot sections.
+struct Meta {
     pruning: PruningConfig,
     m: usize,
     k: usize,
@@ -327,61 +277,27 @@ struct V2Meta {
     stats: Vec<ClusterStats>,
 }
 
-/// Row storage being rebuilt during a v2 restore, fed one slot at a time
-/// in ascending order (freed slots as zero rows, exactly like v1).
-enum RowSink {
-    Objects {
-        objects: Vec<Option<Moments>>,
-    },
-    Slab {
-        arena: MomentArena,
-        occupied: Vec<bool>,
-    },
-}
-
-impl RowSink {
-    fn push_free(&mut self, m: usize) {
-        match self {
-            Self::Objects { objects } => objects.push(None),
-            Self::Slab { arena, occupied } => {
-                arena.push_row_with(m, |_| (0.0, 0.0));
-                occupied.push(false);
-            }
-        }
-    }
-
-    fn push_live(&mut self, m: usize, mu: Vec<f64>, mu2: Vec<f64>) {
-        match self {
-            Self::Objects { objects } => objects.push(Some(Moments::from_mu_mu2(mu, mu2))),
-            Self::Slab { arena, occupied } => {
-                // The same canonical per-dimension fold the original
-                // insertion used — bit-identical row reconstruction.
-                arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                occupied.push(true);
-            }
-        }
-    }
-}
-
-/// Accumulator of a v2 chunked restore: enforces chunk order
-/// (META → SLOTS → FREE → ROWS → END), runs the same validations as the
-/// v1 decoder, and clamps every count against the input size before
-/// allocating.
-struct V2State {
+/// Accumulator of a chunked restore: enforces chunk order
+/// (META → SLOTS → FREE → ROWS → END), validates every count, label and
+/// free-list entry, and clamps every count against the input size before
+/// allocating. Rows are rebuilt one slot at a time in ascending order,
+/// freed slots as zero rows.
+struct Decoder {
     input_len: usize,
-    meta: Option<V2Meta>,
+    meta: Option<Meta>,
     labels: Vec<Option<usize>>,
     gens: Vec<u32>,
     free: Vec<u32>,
     freed_seen: Vec<bool>,
-    sink: Option<RowSink>,
+    arena: MomentArena,
+    occupied: Vec<bool>,
     next_slot: usize,
     rows_seen: usize,
     free_begun: bool,
     rows_begun: bool,
 }
 
-impl V2State {
+impl Decoder {
     fn new(input_len: usize) -> Self {
         Self {
             input_len,
@@ -390,7 +306,8 @@ impl V2State {
             gens: Vec::new(),
             free: Vec::new(),
             freed_seen: Vec::new(),
-            sink: None,
+            arena: MomentArena::with_capacity(0, 0),
+            occupied: Vec::new(),
             next_slot: 0,
             rows_seen: 0,
             free_begun: false,
@@ -412,11 +329,9 @@ impl V2State {
         if self.meta.is_some() {
             return Err(SnapshotError::Corrupt("duplicate META chunk"));
         }
-        let backend = match r.u8()? {
-            0 => StreamBackend::Objects,
-            1 => StreamBackend::Slab,
-            _ => return Err(SnapshotError::Corrupt("unknown backend tag")),
-        };
+        if r.u8()? != BACKEND_SLAB {
+            return Err(SnapshotError::Corrupt("unknown backend tag"));
+        }
         let pruning = match r.u8()? {
             0 => PruningConfig::Off,
             1 => PruningConfig::Bounds,
@@ -466,16 +381,9 @@ impl V2State {
         self.gens = Vec::with_capacity(n_slots);
         self.free = Vec::with_capacity(n_free);
         self.freed_seen = vec![false; n_slots];
-        self.sink = Some(match backend {
-            StreamBackend::Objects => RowSink::Objects {
-                objects: Vec::with_capacity(n_slots),
-            },
-            StreamBackend::Slab => RowSink::Slab {
-                arena: MomentArena::with_capacity(n_slots, m),
-                occupied: Vec::with_capacity(n_slots),
-            },
-        });
-        self.meta = Some(V2Meta {
+        self.arena = MomentArena::with_capacity(n_slots, m);
+        self.occupied = Vec::with_capacity(n_slots);
+        self.meta = Some(Meta {
             pruning,
             m,
             k,
@@ -551,23 +459,32 @@ impl V2State {
             return Err(SnapshotError::Corrupt("ROWS chunk out of order"));
         }
         self.rows_begun = true;
-        let sink = self.sink.as_mut().expect("sink built with META");
         while r.remaining() > 0 {
             if self.rows_seen == live {
                 return Err(SnapshotError::Corrupt("too many rows"));
             }
             let mu = r.f64s(m)?;
             let mu2 = r.f64s(m)?;
-            // Zero-fill freed slots up to the next live one, like v1.
+            // Zero-fill freed slots up to the next live one.
             while self.labels[self.next_slot].is_none() {
-                sink.push_free(m);
-                self.next_slot += 1;
+                self.push_free(m);
             }
-            sink.push_live(m, mu, mu2);
+            // The same canonical per-dimension fold the original insertion
+            // used — bit-identical row reconstruction.
+            self.arena.push_row_with(m, |d| (mu[d], mu2[d]));
+            self.occupied.push(true);
             self.next_slot += 1;
             self.rows_seen += 1;
         }
         Ok(())
+    }
+
+    /// Appends the zero row of a freed slot: never read, and zeros make
+    /// the snapshot of a restored engine byte-identical.
+    fn push_free(&mut self, m: usize) {
+        self.arena.push_row_with(m, |_| (0.0, 0.0));
+        self.occupied.push(false);
+        self.next_slot += 1;
     }
 
     fn finish(mut self) -> Result<IncrementalUcpc, SnapshotError> {
@@ -586,29 +503,17 @@ impl V2State {
                 "live count does not match slot flags",
             ));
         }
-        let mut sink = self.sink.take().expect("sink built with META");
         // Every live slot is behind the cursor (rows_seen == live ==
         // flagged-live count); zero-fill the freed tail.
         while self.next_slot < meta.n_slots {
             debug_assert!(self.labels[self.next_slot].is_none());
-            sink.push_free(meta.m);
-            self.next_slot += 1;
+            self.push_free(meta.m);
         }
-        let store = match sink {
-            RowSink::Objects { objects } => MomentStore::Objects {
-                objects,
-                free: self.free,
-                gens: self.gens,
-            },
-            RowSink::Slab { arena, occupied } => MomentStore::Slab {
-                slab: SlabArena::from_parts(arena, occupied, self.free, self.gens),
-            },
-        };
         Ok(IncrementalUcpc {
             m: meta.m,
             k: meta.k,
             stats: meta.stats,
-            store,
+            slab: SlabArena::from_parts(self.arena, self.occupied, self.free, self.gens),
             labels: self.labels,
             live: meta.live,
             pruning: meta.pruning,
@@ -622,100 +527,10 @@ impl V2State {
 }
 
 impl IncrementalUcpc {
-    /// Serializes the complete logical state into a versioned byte buffer.
-    /// See the [module docs](crate::snapshot) for the format and the
-    /// bit-identity argument.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer {
-            buf: Vec::with_capacity(
-                64 + self.k * (8 + (3 * self.m + 9) * 8)
-                    + self.labels.len() * 13
-                    + self.live * self.m * 16,
-            ),
-        };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(VERSION);
-        w.u8(match self.backend() {
-            StreamBackend::Objects => 0,
-            StreamBackend::Slab => 1,
-        });
-        w.u8(match self.pruning {
-            PruningConfig::Off => 0,
-            PruningConfig::Bounds => 1,
-        });
-        w.u64(self.m as u64);
-        w.u64(self.k as u64);
-        w.u64(self.live as u64);
-        w.u64(self.epoch);
-        for &v in &self.versions {
-            w.u64(v);
-        }
-        w.f64s(&self.totals.to_array());
-        for s in &self.stats {
-            w.u64(s.size() as u64);
-            w.f64s(s.psi());
-            w.f64s(s.phi());
-            w.f64s(s.mean_sum());
-            let (psi_tot, phi_tot, s_sq_tot) = s.scalar_aggregates();
-            w.f64(psi_tot);
-            w.f64(phi_tot);
-            w.f64(s_sq_tot);
-            write_drift(&mut w, s.drift());
-        }
-        let n_slots = self.labels.len();
-        w.u64(n_slots as u64);
-        for l in &self.labels {
-            match l {
-                Some(c) => {
-                    w.u8(1);
-                    w.u64(*c as u64);
-                }
-                None => w.u8(0),
-            }
-        }
-        match &self.store {
-            MomentStore::Objects {
-                objects,
-                free,
-                gens,
-            } => {
-                for &g in gens {
-                    w.u32(g);
-                }
-                w.u64(free.len() as u64);
-                for &s in free {
-                    w.u32(s);
-                }
-                for mo in objects.iter().flatten() {
-                    w.f64s(mo.mu());
-                    w.f64s(mo.mu2());
-                }
-            }
-            MomentStore::Slab { slab } => {
-                for slot in 0..n_slots {
-                    w.u32(slab.generation(slot));
-                }
-                let free = slab.free_slots();
-                w.u64(free.len() as u64);
-                for &s in free {
-                    w.u32(s);
-                }
-                for slot in 0..n_slots {
-                    if slab.is_live(slot) {
-                        let v = slab.view(slot);
-                        w.f64s(v.mu);
-                        w.f64s(v.mu2);
-                    }
-                }
-            }
-        }
-        w.buf
-    }
-
-    /// Streams a **v2** snapshot — the same logical fields as
-    /// [`Self::snapshot`], bit for bit, so the identity argument carries
-    /// over unchanged — to `io` as bounded, checksummed chunks (module
-    /// docs), returning the bytes written. Peak writer memory is one chunk
+    /// Streams a snapshot of the complete logical state to `io` as
+    /// bounded, checksummed chunks (see the [module docs](crate::snapshot)
+    /// for the format and the bit-identity argument), returning the bytes
+    /// written. Peak writer memory is one chunk
     /// (`ROWS_PER_CHUNK × 16m` bytes for the dominant row section)
     /// regardless of live-set size, which is what lets checkpoint +
     /// log-rotate run inside the serving loop without materializing the
@@ -725,7 +540,7 @@ impl IncrementalUcpc {
         let mut written = 0u64;
         let mut head = [0u8; 12];
         head[..8].copy_from_slice(MAGIC);
-        head[8..].copy_from_slice(&VERSION_V2.to_le_bytes());
+        head[8..].copy_from_slice(&VERSION.to_le_bytes());
         io.write_all(&head).map_err(SnapshotError::Io)?;
         written += head.len() as u64;
         let n_slots = self.labels.len();
@@ -735,10 +550,7 @@ impl IncrementalUcpc {
         };
 
         w.begin_chunk(CHUNK_META);
-        w.u8(match self.backend() {
-            StreamBackend::Objects => 0,
-            StreamBackend::Slab => 1,
-        });
+        w.u8(BACKEND_SLAB);
         w.u8(match self.pruning {
             PruningConfig::Off => 0,
             PruningConfig::Bounds => 1,
@@ -776,13 +588,12 @@ impl IncrementalUcpc {
                     }
                     None => w.u8(0),
                 }
-                w.u32(slot_gen(&self.store, slot));
+                w.u32(self.slab.generation(slot));
             }
             w.finish_chunk(io, &mut written)?;
         }
 
-        let free = free_list(&self.store);
-        for group in free.chunks(FREE_PER_CHUNK) {
+        for group in self.slab.free_slots().chunks(FREE_PER_CHUNK) {
             w.begin_chunk(CHUNK_FREE);
             for &s in group {
                 w.u32(s);
@@ -798,9 +609,9 @@ impl IncrementalUcpc {
             if in_chunk == 0 {
                 w.begin_chunk(CHUNK_ROWS);
             }
-            let (mu, mu2) = row_of(&self.store, slot);
-            w.f64s(mu);
-            w.f64s(mu2);
+            let v = self.slab.view(slot);
+            w.f64s(v.mu);
+            w.f64s(v.mu2);
             in_chunk += 1;
             if in_chunk == ROWS_PER_CHUNK {
                 w.finish_chunk(io, &mut written)?;
@@ -816,20 +627,30 @@ impl IncrementalUcpc {
         Ok(written)
     }
 
-    /// [`Self::write_snapshot`] into a fresh in-memory buffer — the v2
-    /// counterpart of [`Self::snapshot`], for callers that want the bytes
-    /// rather than a stream.
-    pub fn snapshot_v2(&self) -> Vec<u8> {
+    /// [`Self::write_snapshot`] into a fresh in-memory buffer, for callers
+    /// that want the bytes rather than a stream.
+    pub fn snapshot(&self) -> Vec<u8> {
         let mut io = VecIo::new();
         self.write_snapshot(&mut io)
             .expect("in-memory sink cannot fault");
         io.into_bytes()
     }
 
-    /// The v2 chunked decode; `bytes` is the whole buffer.
-    fn restore_v2(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut v2 = V2State::new(bytes.len());
-        let mut pos = 12usize;
+    /// Restores an engine from a [`Self::snapshot`] /
+    /// [`Self::write_snapshot`] buffer, bit-identical to the engine that
+    /// produced it. The prune cache restarts empty (entries regrow invalid
+    /// — always sound); the pruning counters restart at zero.
+    pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = Reader { buf: bytes, pos: 0 };
+        if r.take(8)? != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let version = r.u32()?;
+        if version != VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        let mut dec = Decoder::new(bytes.len());
+        let mut pos = r.pos;
         loop {
             if pos == bytes.len() {
                 // No END chunk seen: the stream stopped mid-write.
@@ -864,10 +685,10 @@ impl IncrementalUcpc {
                 pos: 0,
             };
             match kind {
-                CHUNK_META => v2.meta(&mut r)?,
-                CHUNK_SLOTS => v2.slots(&mut r)?,
-                CHUNK_FREE => v2.free(&mut r)?,
-                CHUNK_ROWS => v2.rows(&mut r)?,
+                CHUNK_META => dec.meta(&mut r)?,
+                CHUNK_SLOTS => dec.slots(&mut r)?,
+                CHUNK_FREE => dec.free(&mut r)?,
+                CHUNK_ROWS => dec.rows(&mut r)?,
                 _ => {
                     if r.remaining() != 0 {
                         return Err(SnapshotError::Corrupt("END chunk carries payload"));
@@ -875,7 +696,7 @@ impl IncrementalUcpc {
                     if end + 4 != bytes.len() {
                         return Err(SnapshotError::Corrupt("trailing bytes"));
                     }
-                    return v2.finish();
+                    return dec.finish();
                 }
             }
             if r.remaining() != 0 {
@@ -883,169 +704,6 @@ impl IncrementalUcpc {
             }
             pos = end + 4;
         }
-    }
-    /// [`Self::snapshot_v2`] / [`Self::write_snapshot`] (v2) buffer,
-    /// bit-identical to the engine that produced it. The prune cache
-    /// restarts empty (entries regrow invalid — always sound); the
-    /// pruning counters restart at zero.
-    pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(8)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        match r.u32()? {
-            VERSION => Self::restore_v1(r),
-            VERSION_V2 => Self::restore_v2(bytes),
-            other => Err(SnapshotError::UnsupportedVersion(other)),
-        }
-    }
-
-    /// The v1 single-buffer decode; `r` is positioned just past the
-    /// magic + version prefix.
-    fn restore_v1(mut r: Reader<'_>) -> Result<Self, SnapshotError> {
-        let bytes = r.buf;
-        let backend = match r.u8()? {
-            0 => StreamBackend::Objects,
-            1 => StreamBackend::Slab,
-            _ => return Err(SnapshotError::Corrupt("unknown backend tag")),
-        };
-        let pruning = match r.u8()? {
-            0 => PruningConfig::Off,
-            1 => PruningConfig::Bounds,
-            _ => return Err(SnapshotError::Corrupt("unknown pruning tag")),
-        };
-        let m = r.usize()?;
-        let k = r.usize()?;
-        if k == 0 {
-            return Err(SnapshotError::Corrupt("k must be at least 1"));
-        }
-        let live = r.usize()?;
-        let epoch = r.u64()?;
-        r.ensure(k, 8)?;
-        let mut versions = Vec::with_capacity(k);
-        for _ in 0..k {
-            versions.push(r.u64()?);
-        }
-        let totals_arr: [f64; 6] = r.f64s(6)?.try_into().expect("fixed-length read");
-        let totals = DriftTotals::from_array(totals_arr);
-        let mut stats = Vec::with_capacity(k);
-        for _ in 0..k {
-            let size = r.usize()?;
-            let psi = r.f64s(m)?;
-            let phi = r.f64s(m)?;
-            let mean_sum = r.f64s(m)?;
-            let psi_tot = r.f64()?;
-            let phi_tot = r.f64()?;
-            let s_sq_tot = r.f64()?;
-            let drift = read_drift(&mut r)?;
-            stats.push(ClusterStats::from_raw_parts(
-                psi, phi, mean_sum, size, psi_tot, phi_tot, s_sq_tot, drift,
-            ));
-        }
-        let n_slots = r.usize()?;
-        // Each slot still owes ≥ 5 bytes (flag + generation).
-        r.ensure(n_slots, 5)?;
-        let mut labels: Vec<Option<usize>> = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            match r.u8()? {
-                0 => labels.push(None),
-                1 => {
-                    let c = r.usize()?;
-                    if c >= k {
-                        return Err(SnapshotError::Corrupt("label out of range"));
-                    }
-                    labels.push(Some(c));
-                }
-                _ => return Err(SnapshotError::Corrupt("unknown slot flag")),
-            }
-        }
-        let live_slots = labels.iter().filter(|l| l.is_some()).count();
-        if live_slots != live {
-            return Err(SnapshotError::Corrupt(
-                "live count does not match slot flags",
-            ));
-        }
-        let mut gens = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            gens.push(r.u32()?);
-        }
-        let n_free = r.usize()?;
-        if n_free != n_slots - live {
-            return Err(SnapshotError::Corrupt("free-list length mismatch"));
-        }
-        r.ensure(n_free, 4)?;
-        let mut free = Vec::with_capacity(n_free);
-        let mut freed_seen = vec![false; n_slots];
-        for _ in 0..n_free {
-            let s = r.u32()?;
-            let slot = s as usize;
-            if slot >= n_slots || labels[slot].is_some() || freed_seen[slot] {
-                return Err(SnapshotError::Corrupt("free-list entry invalid"));
-            }
-            freed_seen[slot] = true;
-            free.push(s);
-        }
-        let store = match backend {
-            StreamBackend::Objects => {
-                let mut objects: Vec<Option<Moments>> = Vec::with_capacity(n_slots);
-                for l in &labels {
-                    if l.is_some() {
-                        let mu = r.f64s(m)?;
-                        let mu2 = r.f64s(m)?;
-                        objects.push(Some(Moments::from_mu_mu2(mu, mu2)));
-                    } else {
-                        objects.push(None);
-                    }
-                }
-                MomentStore::Objects {
-                    objects,
-                    free,
-                    gens,
-                }
-            }
-            StreamBackend::Slab => {
-                // Rows owe `live × 2m` f64s; clamp before the arena
-                // reserves `n_slots` rows.
-                r.ensure(live.checked_mul(m).ok_or(SnapshotError::Truncated)?, 16)?;
-                let mut arena = MomentArena::with_capacity(n_slots, m);
-                let mut occupied = Vec::with_capacity(n_slots);
-                for l in &labels {
-                    if l.is_some() {
-                        let mu = r.f64s(m)?;
-                        let mu2 = r.f64s(m)?;
-                        // The same canonical per-dimension fold the original
-                        // insertion used — bit-identical row reconstruction.
-                        arena.push_row_with(m, |d| (mu[d], mu2[d]));
-                        occupied.push(true);
-                    } else {
-                        // Freed rows are never read; zeros make the
-                        // snapshot-of-restore byte-identical.
-                        arena.push_row_with(m, |_| (0.0, 0.0));
-                        occupied.push(false);
-                    }
-                }
-                MomentStore::Slab {
-                    slab: SlabArena::from_parts(arena, occupied, free, gens),
-                }
-            }
-        };
-        if r.pos != bytes.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
-        Ok(Self {
-            m,
-            k,
-            stats,
-            store,
-            labels,
-            live,
-            pruning,
-            epoch,
-            versions,
-            totals,
-            cache: PruneCache::new(0, k),
-            counters: PruneCounters::default(),
-        })
     }
 }
 
@@ -1061,9 +719,9 @@ mod tests {
         ])
     }
 
-    fn churned(backend: StreamBackend) -> IncrementalUcpc {
-        let mut inc = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-        inc.set_pruning(PruningConfig::Bounds);
+    fn churned(pruning: PruningConfig) -> IncrementalUcpc {
+        let mut inc = IncrementalUcpc::new(2, 3).unwrap();
+        inc.set_pruning(pruning);
         let mut live = Vec::new();
         for i in 0..12 {
             live.push(inc.insert(&obj((i % 4) as f64 * 3.0)).unwrap());
@@ -1078,19 +736,30 @@ mod tests {
         inc
     }
 
+    /// Rewrites the META chunk's backend byte and re-seals the chunk's
+    /// CRC, so only the tag check can reject the result.
+    fn with_backend_byte(bytes: &[u8], tag: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        assert_eq!(out[12], CHUNK_META);
+        let len = u32::from_le_bytes(out[13..17].try_into().unwrap()) as usize;
+        out[17] = tag;
+        let crc = crc32(&out[12..17 + len]);
+        out[17 + len..21 + len].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
     #[test]
     fn roundtrip_is_bit_identical() {
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let inc = churned(backend);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let inc = churned(pruning);
             let bytes = inc.snapshot();
             let back = IncrementalUcpc::restore(&bytes).unwrap();
-            assert_eq!(back.backend(), backend);
             assert_eq!(back.len(), inc.len());
             assert_eq!(back.live_labels(), inc.live_labels());
             assert_eq!(
                 back.objective().to_bits(),
                 inc.objective().to_bits(),
-                "objective must round-trip bitwise ({backend:?})"
+                "objective must round-trip bitwise ({pruning:?})"
             );
             // Snapshotting the restored engine reproduces the exact bytes.
             assert_eq!(back.snapshot(), bytes, "snapshot(restore(s)) == s");
@@ -1099,45 +768,40 @@ mod tests {
 
     #[test]
     fn v2_roundtrip_is_bit_identical_and_deterministic() {
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let inc = churned(backend);
-            let v2 = inc.snapshot_v2();
-            let back = IncrementalUcpc::restore(&v2).unwrap();
-            assert_eq!(back.backend(), backend);
-            assert_eq!(back.live_labels(), inc.live_labels());
-            assert_eq!(
-                back.objective().to_bits(),
-                inc.objective().to_bits(),
-                "objective must round-trip bitwise ({backend:?})"
-            );
-            // Chunk boundaries are fixed constants: the v2 bytes of the
-            // restored engine reproduce the original v2 bytes exactly.
-            assert_eq!(back.snapshot_v2(), v2, "snapshot_v2(restore(s)) == s");
-            // And both versions restore to the same engine.
-            assert_eq!(back.snapshot(), inc.snapshot(), "v1 view agrees");
-        }
+        let inc = churned(PruningConfig::Bounds);
+        let bytes = inc.snapshot();
+        // Chunk boundaries are fixed constants: the same state always
+        // streams the same bytes, buffered or through a sink.
+        assert_eq!(inc.snapshot(), bytes);
+        let mut io = VecIo::new();
+        let written = inc.write_snapshot(&mut io).unwrap();
+        assert_eq!(written as usize, bytes.len());
+        assert_eq!(io.into_bytes(), bytes);
+        let back = IncrementalUcpc::restore(&bytes).unwrap();
+        assert_eq!(back.cluster_stats(), inc.cluster_stats());
+        assert_eq!(back.snapshot(), bytes, "snapshot(restore(s)) == s");
     }
 
     #[test]
     fn v2_streams_rows_in_bounded_chunks() {
         // Enough live objects to force several ROWS chunks.
-        let mut inc = IncrementalUcpc::with_backend(2, 3, StreamBackend::Slab).unwrap();
+        let mut inc = IncrementalUcpc::new(2, 3).unwrap();
         for i in 0..(2 * ROWS_PER_CHUNK + 17) {
             inc.insert(&obj((i % 5) as f64)).unwrap();
         }
-        let v2 = inc.snapshot_v2();
-        let back = IncrementalUcpc::restore(&v2).unwrap();
-        assert_eq!(back.snapshot_v2(), v2);
+        let bytes = inc.snapshot();
+        let back = IncrementalUcpc::restore(&bytes).unwrap();
+        assert_eq!(back.snapshot(), bytes);
         assert_eq!(back.len(), inc.len());
     }
 
     #[test]
     fn v2_write_snapshot_surfaces_sink_faults() {
-        let inc = churned(StreamBackend::Slab);
-        let full = inc.snapshot_v2().len();
+        let inc = churned(PruningConfig::Bounds);
+        let full = inc.snapshot().len();
         // ENOSPC at any offset is a checked error, never a panic.
         for limit in [0, 11, 12, 40, full - 1] {
-            let mut io = crate::wal::VecIo::limited(limit);
+            let mut io = VecIo::limited(limit);
             let err = inc.write_snapshot(&mut io).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Io(_)),
@@ -1148,28 +812,31 @@ mod tests {
 
     #[test]
     fn v2_rejects_flips_truncations_and_reordering() {
-        let inc = churned(StreamBackend::Slab);
-        let v2 = inc.snapshot_v2();
+        let inc = churned(PruningConfig::Bounds);
+        let bytes = inc.snapshot();
         // Any truncation fails checked.
-        for cut in [12, 13, 40, v2.len() / 2, v2.len() - 1] {
-            assert!(IncrementalUcpc::restore(&v2[..cut]).is_err(), "cut {cut}");
+        for cut in [12, 13, 40, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                IncrementalUcpc::restore(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
         // A flipped byte inside a chunk is caught by that chunk's CRC.
-        let mut flipped = v2.clone();
+        let mut flipped = bytes.clone();
         flipped[20] ^= 0x40;
         assert!(matches!(
             IncrementalUcpc::restore(&flipped).unwrap_err(),
             SnapshotError::ChecksumMismatch(_) | SnapshotError::Corrupt(_)
         ));
         // Trailing bytes after END are rejected.
-        let mut trailing = v2.clone();
+        let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(IncrementalUcpc::restore(&trailing).is_err());
     }
 
     #[test]
     fn corrupt_inputs_are_rejected() {
-        let inc = churned(StreamBackend::Slab);
+        let inc = churned(PruningConfig::Bounds);
         let bytes = inc.snapshot();
         assert_eq!(
             IncrementalUcpc::restore(b"not a snapshot at all...").unwrap_err(),
@@ -1191,5 +858,35 @@ mod tests {
             IncrementalUcpc::restore(&trailing).unwrap_err(),
             SnapshotError::Corrupt("trailing bytes")
         );
+    }
+
+    #[test]
+    fn version_1_buffers_are_unsupported() {
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            IncrementalUcpc::restore(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        );
+        // The version gate fires before any field of the body is read.
+        let mut relabelled = churned(PruningConfig::Off).snapshot();
+        relabelled[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            IncrementalUcpc::restore(&relabelled).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        );
+    }
+
+    #[test]
+    fn backend_byte_other_than_slab_is_corrupt() {
+        let bytes = churned(PruningConfig::Bounds).snapshot();
+        assert!(IncrementalUcpc::restore(&with_backend_byte(&bytes, BACKEND_SLAB)).is_ok());
+        for tag in [0, 2, 0xff] {
+            assert_eq!(
+                IncrementalUcpc::restore(&with_backend_byte(&bytes, tag)).unwrap_err(),
+                SnapshotError::Corrupt("unknown backend tag"),
+                "backend byte {tag}"
+            );
+        }
     }
 }

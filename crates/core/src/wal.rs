@@ -132,7 +132,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL frame and
-/// every snapshot-v2 chunk.
+/// every snapshot chunk.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
@@ -238,8 +238,8 @@ impl VecIo {
     }
 
     /// A sink injecting the faults of `plan` — the shared configuration
-    /// surface of [`crate::fault`], so WAL and transport chaos tests
-    /// describe faults the same way.
+    /// surface of [`crate::fault`], so every durability test describes
+    /// faults the same way.
     pub fn with_faults(plan: IoFaultPlan) -> Self {
         Self {
             plan,
@@ -942,7 +942,7 @@ pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(),
 }
 
 /// Rebuilds an engine from its last checkpoint plus the WAL written since:
-/// restores the snapshot (v1 or v2), scans the log's valid prefix, and
+/// restores the snapshot, scans the log's valid prefix, and
 /// replays every intact frame. See the module docs for the byte-identity
 /// derivation and the salvage semantics.
 ///
@@ -985,7 +985,6 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::StreamBackend;
     use ucpc_uncertain::{UncertainObject, UnivariatePdf};
 
     fn obj(c: f64) -> UncertainObject {
@@ -1145,7 +1144,7 @@ mod tests {
 
     #[test]
     fn recover_replays_snapshot_plus_log() {
-        let mut reference = IncrementalUcpc::with_backend(2, 2, StreamBackend::Slab).unwrap();
+        let mut reference = IncrementalUcpc::new(2, 2).unwrap();
         let mut handles = Vec::new();
         for c in [0.0, 0.5, 8.0] {
             handles.push(reference.insert(&obj(c)).unwrap());

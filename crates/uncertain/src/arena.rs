@@ -89,6 +89,15 @@ impl MomentView<'_> {
     pub fn dims(&self) -> usize {
         self.mu.len()
     }
+
+    /// Whether the object's moments are usable by the delta-`J` kernel: no
+    /// entry is NaN or ±∞ and no aggregate overflows. O(1) — the three
+    /// precomputed sums are finite exactly then (`Σ mu²` absorbs any
+    /// non-finite `mu` or overflowing square, `Σ mu₂` any non-finite
+    /// `mu₂`, `Σ σ²` an overflowing variance total).
+    pub fn is_finite(&self) -> bool {
+        self.sum_mu_sq.is_finite() && self.sum_mu2.is_finite() && self.sum_var.is_finite()
+    }
 }
 
 /// Contiguous row-major SoA storage of the moments of `n` objects over `m`

@@ -1,8 +1,8 @@
 //! One shared warn-and-fall-back parser for every `UCPC_*` environment knob.
 //!
 //! The workspace reads its runtime knobs (`UCPC_SIMD`, `UCPC_PRUNING`,
-//! `UCPC_STREAMING`, `UCPC_THREADS`, `UCPC_PARALLEL`, `UCPC_BATCH`,
-//! `UCPC_STABILIZE`) from the environment, and every knob shares one
+//! `UCPC_THREADS`, `UCPC_BATCH`, `UCPC_STABILIZE`, `UCPC_WAL`,
+//! `UCPC_WAL_FSYNC`) from the environment, and every knob shares one
 //! failure policy: an **unset** knob silently takes the default, while a
 //! **set-but-invalid** value warns once on stderr — naming the knob, the
 //! rejected value and the accepted forms — and then falls back to the

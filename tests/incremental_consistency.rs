@@ -3,19 +3,19 @@
 //!
 //! Three pins:
 //!
-//! 1. **Cache/stat consistency** (seed regression): removing an object on
-//!    the reference `objects` backend mutates a cluster's statistics
-//!    outside the drift-tracked relocation path; if the prune cache
-//!    survived that edit, a stale bound could skip a scan whose outcome the
-//!    departed member changed. The reference backend therefore bumps its
-//!    cache epoch on every insert/remove.
-//! 2. **Backend equivalence**: the slab backend (free-list row reuse,
-//!    drift-tracked edits, surgical per-cluster invalidation) must be
-//!    *byte-identical* to the reference backend — labels, per-cluster
-//!    statistics, objectives — across pruning configurations and SIMD
-//!    backends, under arbitrary interleavings with slot reuse. A proptest
-//!    drives random scripts through both backends and cross-checks the
-//!    maintained aggregates against a from-scratch rebuild after replay.
+//! 1. **Cache/stat consistency**: a removal mutates a cluster's statistics
+//!    between stabilization passes; if a cached bound ignored that edit, it
+//!    could skip a scan whose outcome the departed member changed. Edits
+//!    are drift-tracked and small-size transitions surgically invalidate
+//!    the entries rooted in the touched cluster, so a pruned pass after
+//!    edits must agree with the unpruned replay.
+//! 2. **Pruning equivalence**: the pruned engine ([`PruningConfig::Bounds`])
+//!    must be *byte-identical* to the unpruned oracle
+//!    ([`PruningConfig::Off`]) — labels, handles, per-cluster statistics,
+//!    objectives — across SIMD backends, under arbitrary interleavings with
+//!    slot reuse. A proptest drives random scripts through both and
+//!    cross-checks the maintained aggregates against a from-scratch rebuild
+//!    after replay.
 //! 3. **Aggregate integrity**: the maintained `ClusterStats` stay close to
 //!    a from-scratch rebuild after every step of a random interleaving.
 
@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::simd::{self, Backend};
@@ -58,11 +58,11 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn aggregates_match_rebuild_after_interleaved_removals_and_passes() {
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
+    for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut live = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
-            live.set_pruning(PruningConfig::Bounds);
+            let mut live = IncrementalUcpc::new(2, 3).unwrap();
+            live.set_pruning(pruning);
             let mut log: HashMap<ObjectHandle, UncertainObject> = HashMap::new();
             let mut ids = Vec::new();
 
@@ -93,16 +93,14 @@ fn aggregates_match_rebuild_after_interleaved_removals_and_passes() {
                     assert_eq!(
                         kept.size(),
                         fresh.size(),
-                        "cluster {c} size at step {step} (seed {seed}, {})",
-                        backend.name()
+                        "cluster {c} size at step {step} (seed {seed}, {pruning:?})"
                     );
                     assert!(
                         close(kept.j(), fresh.j()),
                         "cluster {c} J drifted from rebuild: {} vs {} \
-                         (step {step}, seed {seed}, {})",
+                         (step {step}, seed {seed}, {pruning:?})",
                         kept.j(),
-                        fresh.j(),
-                        backend.name()
+                        fresh.j()
                     );
                     for j in 0..kept.dims() {
                         assert!(close(kept.psi()[j], fresh.psi()[j]), "psi[{j}]");
@@ -122,15 +120,13 @@ fn aggregates_match_rebuild_after_interleaved_removals_and_passes() {
 
 #[test]
 fn removal_then_stabilize_cannot_reuse_stale_bounds() {
-    // Craft the failure the reference backend's epoch bump prevents: warm
-    // the cache with a stabilization pass, then remove members so a
-    // previously-hopeless relocation becomes beneficial, and verify the
-    // next pass actually takes it (a stale "skip" would leave the partition
-    // frozen). Pinned to the `objects` backend, whose untracked edits make
-    // the global invalidation load-bearing; the slab backend survives the
-    // same script through drift-tracked edits and is pinned byte-identical
-    // to this path by the equivalence tests below.
-    let mut live = IncrementalUcpc::with_backend(1, 2, StreamBackend::Objects).unwrap();
+    // Craft the failure stale bounds would cause: warm the cache with a
+    // stabilization pass, then remove members so a previously-hopeless
+    // relocation could become beneficial, and verify the next pass agrees
+    // with an unpruned replay (a stale "skip" would leave the partition
+    // frozen). The removals are drift-tracked, and the drained cluster's
+    // pass through size < 2 invalidates the entries rooted in it.
+    let mut live = IncrementalUcpc::new(1, 2).unwrap();
     live.set_pruning(PruningConfig::Bounds);
     let obj = |c: f64| UncertainObject::new(vec![UnivariatePdf::normal(c, 0.1)]);
 
@@ -157,8 +153,8 @@ fn removal_then_stabilize_cannot_reuse_stale_bounds() {
     let lone = after.iter().find(|&&(id, _)| id == ids[5]).unwrap().1;
     // With {0.0, 0.2, 0.4} on one side and only 5.5 left on the other, a
     // singleton source is pinned by the k-preservation rule; the essential
-    // assertion is that the pass re-scanned (epoch bumped) instead of
-    // skipping on stale bounds — observable through the counters.
+    // assertion is that the pruned passes scanned and agree with the
+    // unpruned twin below.
     let counters = live.pruning_counters();
     assert!(
         counters.full_scans > 0,
@@ -166,8 +162,8 @@ fn removal_then_stabilize_cannot_reuse_stale_bounds() {
     );
     assert_eq!(lone, right, "handle bookkeeping survived the removals");
 
-    // And an unpruned twin replaying the same history agrees exactly.
-    let mut twin = IncrementalUcpc::with_backend(1, 2, StreamBackend::Objects).unwrap();
+    // And an unpruned twin replaying the same history agrees bitwise.
+    let mut twin = IncrementalUcpc::new(1, 2).unwrap();
     twin.set_pruning(PruningConfig::Off);
     let mut twin_ids = Vec::new();
     for c in [0.0, 0.2, 0.4, 9.0, 9.2, 5.5] {
@@ -177,8 +173,7 @@ fn removal_then_stabilize_cannot_reuse_stale_bounds() {
     twin.remove(twin_ids[3]).unwrap();
     twin.remove(twin_ids[4]).unwrap();
     twin.stabilize(10);
-    assert_eq!(live.live_labels(), twin.live_labels());
-    assert!((live.objective() - twin.objective()).abs() <= 1e-10);
+    assert_identical(&live, &twin, "removal then stabilize");
 }
 
 /// One scripted streaming session: the op stream every equivalence check
@@ -192,11 +187,10 @@ enum Op {
 }
 
 fn replay(
-    backend: StreamBackend,
     pruning: PruningConfig,
     script: &[Op],
 ) -> (IncrementalUcpc, HashMap<ObjectHandle, UncertainObject>) {
-    let mut live = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
+    let mut live = IncrementalUcpc::new(2, 3).unwrap();
     live.set_pruning(pruning);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     let mut by_handle: HashMap<ObjectHandle, UncertainObject> = HashMap::new();
@@ -230,7 +224,8 @@ fn replay(
     (live, by_handle)
 }
 
-/// Byte-level equality of two drivers' partitions and statistics.
+/// Byte-level equality of two drivers' partitions (handles included) and
+/// statistics.
 fn assert_identical(a: &IncrementalUcpc, b: &IncrementalUcpc, what: &str) {
     assert_eq!(a.live_labels(), b.live_labels(), "labels diverged: {what}");
     assert_eq!(
@@ -266,12 +261,12 @@ fn churn_script(seed: u64, steps: usize) -> Vec<Op> {
 }
 
 #[test]
-fn slab_backend_is_byte_identical_to_objects_backend() {
-    // {objects, slab} × {pruning off, bounds} × {scalar, detected SIMD}:
-    // every configuration must produce the same labels, bit-identical
-    // per-cluster statistics and objective. The SIMD dimension is trivial
-    // by the backend bit-identity contract, but asserting it end to end
-    // here pins the whole streaming path, slot reuse included.
+fn pruned_churn_is_byte_identical_to_unpruned_across_simd_backends() {
+    // {pruning off, bounds} × {scalar, detected SIMD}: every configuration
+    // must produce the same handles and labels, bit-identical per-cluster
+    // statistics and objective. The SIMD dimension is trivial by the
+    // backend bit-identity contract, but asserting it end to end here pins
+    // the whole streaming path, slot reuse included.
     let restore = simd::active_backend();
     for seed in 0..4u64 {
         let script = churn_script(seed, 120);
@@ -279,22 +274,15 @@ fn slab_backend_is_byte_identical_to_objects_backend() {
         for simd_backend in [Backend::Scalar, Backend::detect()] {
             simd::force_backend(simd_backend).expect("backend available");
             for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-                    let (run, _) = replay(backend, pruning, &script);
-                    if let Some(r) = &reference {
-                        assert_identical(
-                            r,
-                            &run,
-                            &format!(
-                                "seed {seed}, {} / {:?} / {}",
-                                backend.name(),
-                                pruning,
-                                simd_backend.name()
-                            ),
-                        );
-                    } else {
-                        reference = Some(run);
-                    }
+                let (run, _) = replay(pruning, &script);
+                if let Some(r) = &reference {
+                    assert_identical(
+                        r,
+                        &run,
+                        &format!("seed {seed}, {pruning:?} / {}", simd_backend.name()),
+                    );
+                } else {
+                    reference = Some(run);
                 }
             }
         }
@@ -304,10 +292,9 @@ fn slab_backend_is_byte_identical_to_objects_backend() {
 
 #[test]
 fn stale_handle_errors_are_identical_across_backends() {
-    // Satellite regression: the reference backend used to silently no-op a
-    // remove of an already-removed id. Both backends must now return the
-    // identical checked error — for a double remove and for a handle whose
-    // slot has been recycled to a later arrival.
+    // A remove of an already-removed handle, and of a handle whose slot has
+    // been recycled to a later arrival, must return the identical checked
+    // error under every pruning × SIMD configuration.
     use ucpc::core::ClusterError;
     let obj = |c: f64| {
         UncertainObject::new(vec![
@@ -315,80 +302,102 @@ fn stale_handle_errors_are_identical_across_backends() {
             UnivariatePdf::uniform_centered(c, 0.5),
         ])
     };
+    let restore = simd::active_backend();
     let mut errors: Vec<Vec<ClusterError>> = Vec::new();
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        let mut live = IncrementalUcpc::with_backend(2, 2, backend).unwrap();
-        let a = live.insert(&obj(0.0)).unwrap();
-        let b = live.insert(&obj(9.0)).unwrap();
-        live.remove(a).unwrap();
-        let double = live.remove(a).expect_err("double remove is an error");
-        // Recycle a's slot; the old handle must still be stale.
-        let c = live.insert(&obj(0.5)).unwrap();
-        assert_eq!(c.slot(), a.slot(), "slot recycled ({})", backend.name());
-        let recycled = live.remove(a).expect_err("recycled slot is stale");
-        assert!(matches!(double, ClusterError::StaleHandle { .. }));
-        assert_eq!(live.label_of(a), None);
-        assert!(live.label_of(b).is_some() && live.label_of(c).is_some());
-        assert_eq!(live.len(), 2, "stale removes must not change state");
-        errors.push(vec![double, recycled]);
+    for simd_backend in [Backend::Scalar, Backend::detect()] {
+        simd::force_backend(simd_backend).expect("backend available");
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let mut live = IncrementalUcpc::new(2, 2).unwrap();
+            live.set_pruning(pruning);
+            let a = live.insert(&obj(0.0)).unwrap();
+            let b = live.insert(&obj(9.0)).unwrap();
+            live.stabilize(2);
+            live.remove(a).unwrap();
+            let double = live.remove(a).expect_err("double remove is an error");
+            // Recycle a's slot; the old handle must still be stale.
+            let c = live.insert(&obj(0.5)).unwrap();
+            assert_eq!(c.slot(), a.slot(), "slot recycled ({pruning:?})");
+            let recycled = live.remove(a).expect_err("recycled slot is stale");
+            assert!(matches!(double, ClusterError::StaleHandle { .. }));
+            assert_eq!(live.label_of(a), None);
+            assert!(live.label_of(b).is_some() && live.label_of(c).is_some());
+            assert_eq!(live.len(), 2, "stale removes must not change state");
+            errors.push(vec![double, recycled]);
+        }
     }
-    assert_eq!(
-        errors[0], errors[1],
-        "backends must report identical stale-handle errors"
+    simd::force_backend(restore).expect("restore prior backend");
+    assert!(
+        errors.windows(2).all(|w| w[0] == w[1]),
+        "every configuration must report identical stale-handle errors: {errors:?}"
     );
 }
 
 #[test]
 fn surgical_invalidation_skips_more_than_epoch_bumps() {
-    // The whole point of the tracked-edit path: after edits, the slab
-    // backend's cached bounds survive (widened), while the reference
-    // backend rescans everything. Same script, same labels — strictly
-    // better hit rate.
-    let script = churn_script(99, 200);
-    let (objects, _) = replay(StreamBackend::Objects, PruningConfig::Bounds, &script);
-    let (slab, _) = replay(StreamBackend::Slab, PruningConfig::Bounds, &script);
-    assert_identical(&objects, &slab, "hit-rate comparison script");
-    let co = objects.pruning_counters();
-    let cs = slab.pruning_counters();
+    // The whole point of the tracked-edit path: cached bounds survive
+    // edits (widened) instead of dying. A per-edit epoch bump would leave
+    // the first pruned pass after an edit batch with nothing to skip; with
+    // surgical invalidation that very pass already skips — and still
+    // agrees bitwise with the unpruned replay.
+    let mut script = churn_script(99, 200);
+    script.push(Op::Stabilize(8));
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut edits = Vec::new();
+    for _ in 0..6 {
+        edits.push(Op::Remove(rng.gen_range(0..64)));
+        edits.push(Op::Insert(
+            rng.gen_range(-10.0..10.0),
+            rng.gen_range(0.05..0.8),
+        ));
+    }
+    script.extend(edits);
+    let (mut pruned, _) = replay(PruningConfig::Bounds, &script);
+    let (mut oracle, _) = replay(PruningConfig::Off, &script);
+    let before = pruned.pruning_counters();
+    pruned.stabilize(1);
+    oracle.stabilize(1);
+    let after = pruned.pruning_counters();
     assert!(
-        cs.skip_rate() > co.skip_rate(),
-        "surgical invalidation must raise the cache hit-rate: \
-         slab {:?} vs objects {:?}",
-        cs,
-        co
+        after.skips > before.skips,
+        "the first pruned pass after the edit batch skipped nothing: \
+         {before:?} -> {after:?}"
     );
+    assert_identical(&pruned, &oracle, "first pass after edits");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Free-list churn property: random interleavings of
-    /// insert/remove/stabilize — with slot reuse on the slab side — keep
-    /// the two backends byte-identical and the maintained aggregates
-    /// consistent with a from-scratch rebuild.
+    /// insert/remove/stabilize, with slot reuse, keep the pruned engine
+    /// (detected SIMD backend) byte-identical to the unpruned oracle
+    /// (scalar backend), and the maintained aggregates consistent with a
+    /// from-scratch rebuild.
     #[test]
     fn random_churn_scripts_keep_backends_identical(
         seed in 0u64..1_000_000,
         steps in 10usize..120,
-        pruned in 0u8..2,
     ) {
         let script = churn_script(seed, steps);
-        let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        let (objects, _) = replay(StreamBackend::Objects, pruning, &script);
-        let (slab, by_handle) = replay(StreamBackend::Slab, pruning, &script);
+        let restore = simd::active_backend();
+        simd::force_backend(Backend::Scalar).expect("scalar backend available");
+        let (oracle, _) = replay(PruningConfig::Off, &script);
+        simd::force_backend(Backend::detect()).expect("detected backend available");
+        let (pruned, by_handle) = replay(PruningConfig::Bounds, &script);
+        simd::force_backend(restore).expect("restore prior backend");
 
-        prop_assert_eq!(objects.live_labels(), slab.live_labels());
-        prop_assert_eq!(objects.cluster_stats(), slab.cluster_stats());
+        prop_assert_eq!(oracle.live_labels(), pruned.live_labels());
+        prop_assert_eq!(oracle.cluster_stats(), pruned.cluster_stats());
         prop_assert_eq!(
-            objects.objective().to_bits(),
-            slab.objective().to_bits()
+            oracle.objective().to_bits(),
+            pruned.objective().to_bits()
         );
 
         // Both agree with a from-scratch statistics rebuild, recovering
         // objects through the handle association (slots are recycled, so
         // slot index is not a payload identity).
-        let rebuilt = rebuild(&slab, &by_handle);
-        for (kept, fresh) in slab.cluster_stats().iter().zip(&rebuilt) {
+        let rebuilt = rebuild(&pruned, &by_handle);
+        for (kept, fresh) in pruned.cluster_stats().iter().zip(&rebuilt) {
             prop_assert_eq!(kept.size(), fresh.size());
             prop_assert!(close(kept.j(), fresh.j()));
         }

@@ -3,20 +3,22 @@
 //! **byte-identical** labels across
 //!
 //! * thread counts 1 / 2 / 4 / 8,
-//! * the `even` (static chunks + snapshot clone) and `steal`
-//!   (work-stealing shards + snapshot-free versioned stats) backends,
 //! * candidate pruning off and on, and
 //! * the scalar and the machine's detected SIMD dot-product backend,
 //!
-//! all against **one** shared reference per dataset — so any pairwise
-//! combination of the four axes is pinned, not just neighbors. SIMD forcing
+//! all against **one** shared reference per dataset — the single-thread,
+//! unpruned, scalar run — so any pairwise combination of the three axes is
+//! pinned, not just neighbors. The apply phase applies version-fresh
+//! proposals without re-pricing; debug builds (what `cargo test` runs)
+//! re-price each one and assert the bits match, so every run here also
+//! checks that skip. SIMD forcing
 //! is process-global, but the backends are bit-identical by construction
 //! (see `ucpc_uncertain::simd`), so concurrently running tests cannot be
 //! perturbed by it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::parallel::{ParallelBackend, ParallelUcpc};
+use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::{PruningConfig, Ucpc};
 use ucpc::uncertain::simd::{self, Backend};
@@ -59,7 +61,7 @@ fn random_labels(n: usize, k: usize, seed: u64) -> Vec<usize> {
 }
 
 #[test]
-fn labels_are_identical_across_threads_backends_pruning_and_simd() {
+fn labels_are_identical_across_threads_pruning_and_simd() {
     // Shapes straddle the SIMD dispatch threshold (m = 24 engages AVX2/NEON,
     // m = 4 stays on the short-row path) and include k large relative to n.
     let shapes = [(120usize, 4usize, 5usize), (90, 24, 3), (64, 2, 8)];
@@ -73,28 +75,22 @@ fn labels_are_identical_across_threads_backends_pruning_and_simd() {
             for simd_backend in [Backend::Scalar, Backend::detect()] {
                 simd::force_backend(simd_backend).expect("backend available");
                 for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                    for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
-                        for threads in [1usize, 2, 4, 8] {
-                            let r = ParallelUcpc {
-                                threads,
-                                backend,
-                                pruning,
-                                ..ParallelUcpc::default()
-                            }
-                            .run_on_arena(&arena, k, init.clone())
-                            .unwrap();
-                            let got = (r.clustering.labels().to_vec(), r.iterations, r.applied);
-                            match &reference {
-                                Some(want) => assert_eq!(
-                                    want,
-                                    &got,
-                                    "diverged: n={n} m={m} k={k} seed={seed} \
-                                     {threads} threads, {} backend, {pruning:?}, \
-                                     simd {simd_backend:?}",
-                                    backend.name()
-                                ),
-                                None => reference = Some(got),
-                            }
+                    for threads in [1usize, 2, 4, 8] {
+                        let r = ParallelUcpc {
+                            threads,
+                            pruning,
+                            ..ParallelUcpc::default()
+                        }
+                        .run_on_arena(&arena, k, init.clone())
+                        .unwrap();
+                        let got = (r.clustering.labels().to_vec(), r.iterations, r.applied);
+                        match &reference {
+                            Some(want) => assert_eq!(
+                                want, &got,
+                                "diverged: n={n} m={m} k={k} seed={seed} \
+                                 {threads} threads, {pruning:?}, simd {simd_backend:?}"
+                            ),
+                            None => reference = Some(got),
                         }
                     }
                 }

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::parallel::{ParallelBackend, ParallelUcpc};
+use ucpc::core::parallel::ParallelUcpc;
 use ucpc::core::restarts::BestOfRestarts;
 use ucpc::core::{PruningConfig, Ucpc};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
@@ -134,14 +134,13 @@ fn ucpc_pruning_actually_fires_on_clustered_data() {
 fn parallel_ucpc_pruned_matches_unpruned() {
     for (gi, &(n, m, k)) in GRID.iter().enumerate() {
         for seed in 0..2u64 {
-            for backend in [ParallelBackend::Even, ParallelBackend::Steal] {
+            for threads in [1, 3] {
                 let seed = seed + 10 * gi as u64;
                 let data = dataset(n, m, seed, gi % 2 == 0);
                 let run = |pruning| {
                     let mut rng = StdRng::seed_from_u64(seed + 1);
                     ParallelUcpc {
-                        threads: 3,
-                        backend,
+                        threads,
                         pruning,
                         ..ParallelUcpc::default()
                     }
@@ -154,8 +153,7 @@ fn parallel_ucpc_pruned_matches_unpruned() {
                     off.clustering.labels(),
                     on.clustering.labels(),
                     "parallel labels diverged: n={n} m={m} k={k} seed={seed} \
-                     backend={}",
-                    backend.name()
+                     threads={threads}"
                 );
                 assert_eq!(off.iterations, on.iterations);
                 assert_eq!(off.applied, on.applied);

@@ -7,9 +7,12 @@ use ucpc::baselines::{FdbScan, Foptics, MmVar, Uahc, UkMeans, UkMedoids};
 use ucpc::core::framework::UncertainClusterer;
 use ucpc::core::incremental::IncrementalUcpc;
 use ucpc::core::parallel::ParallelUcpc;
-use ucpc::core::{ServingConfig, ServingError, ServingResponse, ServingUcpc, ShardedUcpc, Ucpc};
+use ucpc::core::{
+    recover, ClusterError, ServingConfig, ServingError, ServingResponse, ServingUcpc, SharedVecIo,
+    Ucpc,
+};
 use ucpc::eval::quality;
-use ucpc::uncertain::{UncertainObject, UnivariatePdf};
+use ucpc::uncertain::{Moments, UncertainObject, UnivariatePdf};
 
 fn algorithms() -> Vec<Box<dyn UncertainClusterer>> {
     vec![
@@ -113,8 +116,8 @@ fn heavily_skewed_exponential_objects() {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate shapes for the streaming / serving / sharded engines, which the
-// batch sweeps above never construct.
+// Degenerate shapes for the streaming / serving engines, which the batch
+// sweeps above never construct.
 // ---------------------------------------------------------------------------
 
 fn point(coords: &[f64]) -> UncertainObject {
@@ -200,37 +203,64 @@ fn serving_layer_empty_flush_and_zero_capacity_queue() {
 }
 
 #[test]
-fn sharded_engine_single_object_and_degenerate_k_m() {
-    // One object across many shards: every shard but the owner holds an
-    // empty partition, and the replicated state still matches single-node.
-    let mut sharded = ShardedUcpc::new(1, 2, 8).unwrap();
-    let mut single = IncrementalUcpc::new(1, 2).unwrap();
-    let hs = sharded.insert(&point(&[3.0])).unwrap();
-    let hi = single.insert(&point(&[3.0])).unwrap();
-    assert_eq!(hs, hi);
-    assert_eq!(sharded.stabilize(3), single.stabilize(3));
-    assert_eq!(sharded.objective().to_bits(), single.objective().to_bits());
-    sharded.remove(hs).unwrap();
-    assert!(sharded.is_empty());
-
-    // k = 1, m = 1 under sharding: inserts, a no-op stabilize, and removal
-    // down to empty all replicate bit-identically.
-    let mut sharded = ShardedUcpc::new(1, 1, 4).unwrap();
-    let mut single = IncrementalUcpc::new(1, 1).unwrap();
-    let mut handles = Vec::new();
+fn non_finite_moments_are_refused_at_every_ingress() {
+    // A NaN delta loses every comparison, so a NaN arrival used to be
+    // admitted, panic the next flush, and leave a logged frame that
+    // recovery replayed into a NaN objective. Every ingress now refuses it
+    // up front with a checked error, before anything is staged or logged.
+    let hostile = [
+        Moments::from_mu_mu2(vec![f64::NAN, 1.0], vec![1.0, 1.0]),
+        Moments::from_mu_mu2(vec![1.0, 1.0], vec![f64::NAN, 1.0]),
+        Moments::from_mu_mu2(vec![f64::INFINITY, 1.0], vec![1.0, 1.0]),
+        Moments::from_mu_mu2(vec![1.0, 1.0], vec![1.0, f64::NEG_INFINITY]),
+        // Finite entries whose square overflows the kernel's aggregates.
+        Moments::of_point(&[1e200, 0.0]),
+    ];
+    let mut serving = ServingUcpc::new(2, 2, ServingConfig::default()).unwrap();
+    let checkpoint = serving.engine().snapshot();
+    let log = SharedVecIo::new();
+    serving.attach_wal(log.clone()).unwrap();
     for i in 0..6 {
-        let hs = sharded.insert(&point(&[i as f64])).unwrap();
-        let hi = single.insert(&point(&[i as f64])).unwrap();
-        assert_eq!(hs, hi);
-        handles.push(hs);
+        serving
+            .submit_commit(&Moments::of_point(&[i as f64, 1.0]))
+            .unwrap();
     }
-    assert_eq!(sharded.stabilize(2), 0, "k = 1 admits no relocations");
-    assert_eq!(sharded.objective().to_bits(), single.objective().to_bits());
-    for h in handles {
-        sharded.remove(h).unwrap();
+    serving.flush();
+    while serving.pop_response().is_some() {}
+    let logged = log.bytes();
+    let live = serving.engine().snapshot();
+
+    for mo in &hostile {
+        assert!(
+            matches!(serving.submit_commit(mo), Err(ServingError::NonFinite)),
+            "commit of {mo:?} must be refused"
+        );
+        assert!(
+            matches!(serving.submit_query(mo), Err(ServingError::NonFinite)),
+            "query of {mo:?} must be refused"
+        );
     }
-    assert!(sharded.is_empty());
-    assert_eq!(sharded.objective(), 0.0);
+    assert_eq!(serving.pending_len(), 0, "nothing hostile was queued");
+    assert_eq!(serving.flush(), 0);
+    assert_eq!(log.bytes(), logged, "no frame was written");
+    assert_eq!(serving.engine().snapshot(), live, "the engine is untouched");
+
+    // Recovery reproduces exactly the live engine.
+    let rec = recover(&checkpoint, &log.bytes()).unwrap();
+    assert_eq!(rec.frames_applied, 6);
+    assert!(rec.engine.objective().is_finite());
+    assert_eq!(rec.engine.snapshot(), serving.engine().snapshot());
+
+    // The engine's own moment ingress refuses the same inputs.
+    let mut engine = serving.into_engine();
+    for mo in &hostile {
+        assert_eq!(engine.insert_moments(mo), Err(ClusterError::NonFinite));
+    }
+    assert_eq!(engine.snapshot(), live);
+    engine
+        .insert_moments(&Moments::of_point(&[2.5, 1.0]))
+        .expect("finite arrivals are still admitted");
+    assert!(engine.objective().is_finite());
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! queries, commits, removals, stabilizations — replayed through the
 //! batched [`ServingUcpc`] front door at batch sizes {1, 3, 16, 64} must
 //! produce *bitwise* the answers and engine state of a serial
-//! [`IncrementalUcpc`] replay of the same requests, across storage backends
-//! × pruning × SIMD backends, and at both kernel regimes (short rows and
-//! the dot3-batched `m ≥ DISPATCH_THRESHOLD` path).
+//! [`IncrementalUcpc`] replay of the same requests, across pruning × SIMD
+//! backends, and at both kernel regimes (short rows and the dot3-batched
+//! `m ≥ DISPATCH_THRESHOLD` path). The unpruned serial replay is the
+//! oracle: the pruned serial replay must match it bitwise too.
 //!
 //! The serial reference computes every expected placement answer with its
 //! own independent implementation (per-cluster `delta_j_add` + a stable
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::objective::ClusterStats;
 use ucpc::core::serving::{PlacementAnswer, ServingConfig, ServingResponse, ServingUcpc};
 use ucpc::core::{ClusterError, PruningConfig};
@@ -86,7 +87,7 @@ fn reference_answer(stats: &[ClusterStats], v: &MomentView<'_>) -> (Vec<(usize, 
 
 /// What the serial replay expects the serving layer to answer, per op that
 /// produced a submission.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum Expected {
     Placed(Vec<(usize, f64)>, f64),
     Committed(ObjectHandle, Vec<(usize, f64)>, f64),
@@ -97,13 +98,8 @@ enum Expected {
 /// Serial reference replay: one engine, one op at a time, stabilizing
 /// after every `STABILIZE_EVERY`-th commit exactly like the serving
 /// layer's cadence.
-fn replay_serial(
-    backend: StreamBackend,
-    pruning: PruningConfig,
-    ops: &[Op],
-    m: usize,
-) -> (IncrementalUcpc, Vec<Expected>) {
-    let mut engine = IncrementalUcpc::with_backend(m, K, backend).unwrap();
+fn replay_serial(pruning: PruningConfig, ops: &[Op], m: usize) -> (IncrementalUcpc, Vec<Expected>) {
+    let mut engine = IncrementalUcpc::new(m, K).unwrap();
     engine.set_pruning(pruning);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     let mut commits = 0usize;
@@ -153,13 +149,12 @@ fn replay_serial(
 /// address handles it has already received (and the drain keeps the
 /// handle list — and hence the removal target — aligned with serial).
 fn replay_serving(
-    backend: StreamBackend,
     pruning: PruningConfig,
     ops: &[Op],
     m: usize,
     batch: usize,
 ) -> (ServingUcpc, Vec<ServingResponse>) {
-    let mut engine = IncrementalUcpc::with_backend(m, K, backend).unwrap();
+    let mut engine = IncrementalUcpc::new(m, K).unwrap();
     engine.set_pruning(pruning);
     let cfg = ServingConfig {
         batch,
@@ -266,7 +261,12 @@ fn assert_equivalent(
             (got, want) => panic!("response kind diverged: {ctx}: {got:?} vs {want:?}"),
         }
     }
-    let engine = serving.engine();
+    assert_same_engine(serving.engine(), serial, what);
+}
+
+/// Byte-level equality of two engines' handles, labels, statistics and
+/// objective.
+fn assert_same_engine(engine: &IncrementalUcpc, serial: &IncrementalUcpc, what: &str) {
     assert_eq!(
         engine.live_labels(),
         serial.live_labels(),
@@ -284,35 +284,43 @@ fn assert_equivalent(
     );
 }
 
+/// The unpruned serial replay (the oracle) after checking that the pruned
+/// serial replay reproduces it bitwise: answers, handles, statistics.
+fn oracle(ops: &[Op], m: usize, what: &str) -> (IncrementalUcpc, Vec<Expected>) {
+    let (off, expected) = replay_serial(PruningConfig::Off, ops, m);
+    let (bounds, pruned_expected) = replay_serial(PruningConfig::Bounds, ops, m);
+    assert_eq!(
+        pruned_expected, expected,
+        "pruned serial answers diverged: {what}"
+    );
+    assert_same_engine(&bounds, &off, &format!("pruned serial replay, {what}"));
+    (off, expected)
+}
+
 #[test]
 fn serving_is_bit_identical_to_serial_across_the_full_matrix() {
-    // batch {1,3,16,64} × {objects,slab} × {off,bounds} × {scalar,detected
-    // SIMD}, at m = 16 — the dot3-batched pricing regime, where the
-    // arrival-blocked kernel and the serial cluster-triple scan must still
-    // agree bit for bit.
+    // batch {1,3,16,64} × {off,bounds} × {scalar,detected SIMD}, at m = 16
+    // — the dot3-batched pricing regime, where the arrival-blocked kernel
+    // and the serial cluster-triple scan must still agree bit for bit.
     let restore = simd::active_backend();
     for seed in 0..2u64 {
         let ops = script(seed, 70, 16);
         for simd_backend in [Backend::Scalar, Backend::detect()] {
             simd::force_backend(simd_backend).expect("backend available");
+            let (serial, expected) = oracle(&ops, 16, &format!("seed {seed}"));
             for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-                for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-                    let (serial, expected) = replay_serial(backend, pruning, &ops, 16);
-                    for batch in BATCH_SIZES {
-                        let (serving, log) = replay_serving(backend, pruning, &ops, 16, batch);
-                        assert_equivalent(
-                            &serving,
-                            &log,
-                            &serial,
-                            &expected,
-                            &format!(
-                                "seed {seed}, batch {batch}, {} / {:?} / {}",
-                                backend.name(),
-                                pruning,
-                                simd_backend.name()
-                            ),
-                        );
-                    }
+                for batch in BATCH_SIZES {
+                    let (serving, log) = replay_serving(pruning, &ops, 16, batch);
+                    assert_equivalent(
+                        &serving,
+                        &log,
+                        &serial,
+                        &expected,
+                        &format!(
+                            "seed {seed}, batch {batch}, {pruning:?} / {}",
+                            simd_backend.name()
+                        ),
+                    );
                 }
             }
         }
@@ -323,19 +331,19 @@ fn serving_is_bit_identical_to_serial_across_the_full_matrix() {
 #[test]
 fn serving_is_bit_identical_on_short_rows() {
     // m = 2 stays below DISPATCH_THRESHOLD: pricing takes the per-cluster
-    // delta_j_add regime. Slab × both prunings × all batch sizes.
+    // delta_j_add regime. Both prunings × all batch sizes.
     for seed in 0..3u64 {
         let ops = script(seed + 100, 90, 2);
+        let (serial, expected) = oracle(&ops, 2, &format!("seed {seed}, short rows"));
         for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let (serial, expected) = replay_serial(StreamBackend::Slab, pruning, &ops, 2);
             for batch in BATCH_SIZES {
-                let (serving, log) = replay_serving(StreamBackend::Slab, pruning, &ops, 2, batch);
+                let (serving, log) = replay_serving(pruning, &ops, 2, batch);
                 assert_equivalent(
                     &serving,
                     &log,
                     &serial,
                     &expected,
-                    &format!("seed {seed}, batch {batch}, slab / {pruning:?} / short rows"),
+                    &format!("seed {seed}, batch {batch}, {pruning:?} / short rows"),
                 );
             }
         }
@@ -346,8 +354,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Property form: arbitrary scripts and batch sizes keep the serving
-    /// layer bit-identical to serial on the slab backend (the production
-    /// configuration), pruning on and off.
+    /// layer bit-identical to the unpruned serial oracle, pruning on and
+    /// off.
     #[test]
     fn random_scripts_serve_bit_identically(
         seed in 0u64..1_000_000,
@@ -359,9 +367,9 @@ proptest! {
         let m = if wide == 1 { 16 } else { 2 };
         let ops = script(seed, steps, m);
         let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        let (serial, expected) = replay_serial(StreamBackend::Slab, pruning, &ops, m);
+        let (serial, expected) = oracle(&ops, m, &format!("proptest seed {seed}, m {m}"));
         let batch = BATCH_SIZES[batch_idx];
-        let (serving, log) = replay_serving(StreamBackend::Slab, pruning, &ops, m, batch);
+        let (serving, log) = replay_serving(pruning, &ops, m, batch);
         assert_equivalent(
             &serving,
             &log,

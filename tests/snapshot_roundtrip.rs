@@ -4,16 +4,17 @@
 //! snapshot, drop the engine, restore from bytes, continue the same edit
 //! script — produces **byte-for-byte** the labels, per-cluster statistic
 //! bits and objective bits of the uninterrupted run. Pinned across the full
-//! configuration matrix {objects, slab} × {pruning off, bounds} ×
-//! {scalar, detected SIMD}, deterministically and under a property test
-//! with random scripts and random cut points. Handles issued before the
+//! configuration matrix {pruning off, bounds} × {scalar, detected SIMD},
+//! deterministically and under a property test with random scripts and
+//! random cut points; the unpruned uninterrupted run is the oracle every
+//! configuration must reproduce. Handles issued before the
 //! snapshot stay valid after restore (slot and generation are part of the
 //! serialized state), so callers keep their ids across a recovery.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle, StreamBackend};
+use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::simd::{self, Backend};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
@@ -76,13 +77,8 @@ fn apply(live: &mut IncrementalUcpc, ids: &mut Vec<ObjectHandle>, op: &Op) {
 /// Runs `script` on a fresh engine; if `cut` is given, snapshots after
 /// `cut` ops, drops the engine, restores from bytes and continues — the
 /// pre-cut handles are reused verbatim across the interruption.
-fn run(
-    backend: StreamBackend,
-    pruning: PruningConfig,
-    script: &[Op],
-    cut: Option<usize>,
-) -> IncrementalUcpc {
-    let mut live = IncrementalUcpc::with_backend(2, 3, backend).unwrap();
+fn run(pruning: PruningConfig, script: &[Op], cut: Option<usize>) -> IncrementalUcpc {
+    let mut live = IncrementalUcpc::new(2, 3).unwrap();
     live.set_pruning(pruning);
     let mut ids: Vec<ObjectHandle> = Vec::new();
     for (i, op) in script.iter().enumerate() {
@@ -114,21 +110,16 @@ fn assert_identical(a: &IncrementalUcpc, b: &IncrementalUcpc, what: &str) {
 fn restore_mid_churn_continues_bit_identically_across_the_matrix() {
     let restore = simd::active_backend();
     let script = churn_script(7, 140);
+    let oracle = run(PruningConfig::Off, &script, None);
     for simd_backend in [Backend::Scalar, Backend::detect()] {
         simd::force_backend(simd_backend).expect("backend available");
         for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-                let what = format!(
-                    "{} / {:?} / {}",
-                    backend.name(),
-                    pruning,
-                    simd_backend.name()
-                );
-                let uninterrupted = run(backend, pruning, &script, None);
-                for cut in [20, 74, 139] {
-                    let resumed = run(backend, pruning, &script, Some(cut));
-                    assert_identical(&uninterrupted, &resumed, &format!("{what}, cut {cut}"));
-                }
+            let what = format!("{pruning:?} / {}", simd_backend.name());
+            let uninterrupted = run(pruning, &script, None);
+            assert_identical(&oracle, &uninterrupted, &what);
+            for cut in [20, 74, 139] {
+                let resumed = run(pruning, &script, Some(cut));
+                assert_identical(&uninterrupted, &resumed, &format!("{what}, cut {cut}"));
             }
         }
     }
@@ -137,49 +128,15 @@ fn restore_mid_churn_continues_bit_identically_across_the_matrix() {
 
 #[test]
 fn snapshot_of_restored_engine_reproduces_the_bytes() {
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let live = run(backend, pruning, &churn_script(21, 90), None);
-            let bytes = live.snapshot();
-            let back = IncrementalUcpc::restore(&bytes).expect("restores");
-            assert_eq!(back.backend(), backend);
-            assert_eq!(
-                back.snapshot(),
-                bytes,
-                "snapshot(restore(s)) must equal s ({} / {:?})",
-                backend.name(),
-                pruning
-            );
-        }
-    }
-}
-
-#[test]
-fn v2_streaming_snapshot_roundtrips_and_v1_stays_readable() {
-    for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
-            let what = format!("{} / {:?}", backend.name(), pruning);
-            let live = run(backend, pruning, &churn_script(33, 120), None);
-            let v1 = live.snapshot();
-            let v2 = live.snapshot_v2();
-            // Both formats restore, to bitwise-identical engines.
-            let from_v1 = IncrementalUcpc::restore(&v1).expect("v1 restores");
-            let from_v2 = IncrementalUcpc::restore(&v2).expect("v2 restores");
-            assert_eq!(from_v2.backend(), backend);
-            assert_identical(&from_v1, &from_v2, &what);
-            // Chunking is deterministic: snapshot_v2(restore(s)) == s, and
-            // the restored engine still emits the exact v1 bytes too.
-            assert_eq!(
-                from_v2.snapshot_v2(),
-                v2,
-                "v2 round-trip bytes diverged: {what}"
-            );
-            assert_eq!(
-                from_v2.snapshot(),
-                v1,
-                "v1 view of the v2-restored engine diverged: {what}"
-            );
-        }
+    for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+        let live = run(pruning, &churn_script(21, 90), None);
+        let bytes = live.snapshot();
+        let back = IncrementalUcpc::restore(&bytes).expect("restores");
+        assert_eq!(
+            back.snapshot(),
+            bytes,
+            "snapshot(restore(s)) must equal s ({pruning:?})"
+        );
     }
 }
 
@@ -187,25 +144,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random scripts, random cut points: the interrupted run is always
-    /// bit-identical to the uninterrupted one, on both backends and both
-    /// pruning configurations.
+    /// bit-identical to the uninterrupted one under both pruning
+    /// configurations, and both agree with the unpruned oracle.
     #[test]
     fn random_cut_points_preserve_bit_identity(
         seed in 0u64..1_000_000,
         steps in 20usize..100,
         cut_frac in 0.0f64..1.0,
-        pruned in 0u8..2,
     ) {
         let script = churn_script(seed, steps);
         let cut = ((script.len() - 1) as f64 * cut_frac) as usize;
-        let pruning = if pruned == 1 { PruningConfig::Bounds } else { PruningConfig::Off };
-        for backend in [StreamBackend::Objects, StreamBackend::Slab] {
-            let uninterrupted = run(backend, pruning, &script, None);
-            let resumed = run(backend, pruning, &script, Some(cut));
-            prop_assert_eq!(uninterrupted.live_labels(), resumed.live_labels());
-            prop_assert_eq!(uninterrupted.cluster_stats(), resumed.cluster_stats());
+        let oracle = run(PruningConfig::Off, &script, None);
+        for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+            let resumed = run(pruning, &script, Some(cut));
+            prop_assert_eq!(oracle.live_labels(), resumed.live_labels());
+            prop_assert_eq!(oracle.cluster_stats(), resumed.cluster_stats());
             prop_assert_eq!(
-                uninterrupted.objective().to_bits(),
+                oracle.objective().to_bits(),
                 resumed.objective().to_bits()
             );
         }
