@@ -19,7 +19,7 @@
 use rand::Rng;
 use rand::RngCore;
 use ucpc_uncertain::sampling::Metropolis;
-use ucpc_uncertain::{MomentArena, PdfFamily, UncertainObject, UnivariatePdf};
+use ucpc_uncertain::{Coverage, MomentArena, PdfFamily, UncertainObject, UnivariatePdf};
 
 /// The pdf family injected into a benchmark dataset (the paper's "U", "N",
 /// "E" table columns).
@@ -288,28 +288,32 @@ impl PdfAssignment {
     /// Case 2 written straight into a borrowed [`MomentArena`] — the
     /// arena-native batch pipeline. Appends one row per assigned point,
     /// bit-identical to `MomentArena::from_objects(&self.uncertain_objects())`
-    /// (same per-dimension truncation and the same moment formulas, fed
-    /// through [`MomentArena::push_row_with`]), but with **zero per-object
-    /// heap allocations**: no `UncertainObject`, no `Moments`, no pdf
-    /// vectors — each dimension's truncated pdf lives on the stack just long
-    /// enough to yield its `(mu, mu_2)` pair. Capacity for all rows is
-    /// reserved up front, so after that single reservation the fill does not
-    /// touch the allocator at all (pinned by the counting-allocator test in
-    /// `tests/alloc_free_pipeline.rs`).
+    /// (the same [`UnivariatePdf::truncate_to_coverage`] and
+    /// [`UnivariatePdf::moments`], fed through
+    /// [`MomentArena::push_row_with`]).
+    ///
+    /// The work per (point, dimension) is one moment evaluation: the
+    /// coverage level's quantiles are evaluated once per call (one
+    /// [`Coverage`]), and each truncated pdf's `(mu, mu_2)` comes from one
+    /// evaluation of its family's shared terms — four `exp` calls for a
+    /// Normal. The fill makes **zero per-object heap allocations**: no
+    /// `UncertainObject`, no `Moments`, no pdf vectors — each truncated pdf
+    /// lives on the stack just long enough to yield its pair. Capacity for
+    /// all rows is reserved up front, so after that single reservation the
+    /// fill does not touch the allocator at all (pinned by the
+    /// counting-allocator test in `tests/alloc_free_pipeline.rs`).
     pub fn assign_into_arena(&self, arena: &mut MomentArena) {
         let m = self.pdfs.first().map_or(0, Vec::len);
         arena.reserve_rows(self.len(), m);
+        let cov = Coverage::new(self.coverage);
         for dims in &self.pdfs {
             arena.push_row_with(dims.len(), |j| {
                 let pdf = &dims[j];
-                let region = pdf.central_region(self.coverage);
-                if region.width() > 0.0 {
-                    let t = pdf.truncate(region);
-                    (t.mean(), t.second_moment())
-                } else {
-                    // Point mass: nothing to truncate (same branch as
-                    // `UncertainObject::with_coverage`).
-                    (pdf.mean(), pdf.second_moment())
+                // A point mass is kept as it is, as in
+                // `UncertainObject::with_coverage`.
+                match pdf.truncate_to_coverage(&cov) {
+                    Some(t) => t.moments(),
+                    None => pdf.moments(),
                 }
             });
         }

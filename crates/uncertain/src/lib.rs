@@ -66,6 +66,6 @@ pub mod stats;
 pub use arena::{MomentArena, MomentView};
 pub use moments::Moments;
 pub use object::UncertainObject;
-pub use pdf::{PdfFamily, UnivariatePdf};
+pub use pdf::{Coverage, PdfFamily, UnivariatePdf};
 pub use region::{BoxRegion, Interval};
 pub use slab::{ObjectHandle, SlabArena, StaleHandle};

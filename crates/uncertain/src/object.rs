@@ -7,7 +7,7 @@
 //! per-dimension moments). Moments are computed once at construction.
 
 use crate::moments::Moments;
-use crate::pdf::{PdfFamily, UnivariatePdf};
+use crate::pdf::{Coverage, PdfFamily, UnivariatePdf};
 use crate::region::{BoxRegion, Interval};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -46,22 +46,17 @@ impl UncertainObject {
     /// Builds an object whose domain region is the per-dimension central
     /// region containing `coverage` (e.g. `0.95`) of each pdf's mass; every
     /// pdf is truncated and renormalized on that region so that condition (1)
-    /// of Definition 1 holds exactly (Section 5.1, Case 2).
+    /// of Definition 1 holds exactly (Section 5.1, Case 2). The level's
+    /// quantiles are evaluated once for all dimensions (one [`Coverage`]).
     pub fn with_coverage(dims: Vec<UnivariatePdf>, coverage: f64) -> Self {
         assert!(
             !dims.is_empty(),
             "uncertain object needs at least one dimension"
         );
+        let cov = Coverage::new(coverage);
         let truncated: Vec<UnivariatePdf> = dims
             .into_iter()
-            .map(|p| {
-                let r = p.central_region(coverage);
-                if r.width() > 0.0 {
-                    p.truncate(r)
-                } else {
-                    p // point mass: nothing to truncate
-                }
-            })
+            .map(|p| p.truncate_to_coverage(&cov).unwrap_or(p))
             .collect();
         Self::new(truncated)
     }
@@ -167,9 +162,9 @@ impl UncertainObject {
     }
 }
 
+/// One [`UnivariatePdf::moments`] evaluation per dimension.
 fn moments_of(dims: &[UnivariatePdf]) -> Moments {
-    let mu: Vec<f64> = dims.iter().map(UnivariatePdf::mean).collect();
-    let mu2: Vec<f64> = dims.iter().map(UnivariatePdf::second_moment).collect();
+    let (mu, mu2): (Vec<f64>, Vec<f64>) = dims.iter().map(UnivariatePdf::moments).unzip();
     Moments::from_mu_mu2(mu, mu2)
 }
 

@@ -12,6 +12,21 @@
 //! All moments are closed-form; nothing in this module ever samples to obtain
 //! a moment. Sampling is inverse-CDF based and therefore exact for the
 //! truncated variants as well.
+//!
+//! **One evaluation per pdf.** A Case-2 object needs, per dimension, the
+//! central region at the coverage level, the truncated pdf, and that pdf's
+//! `(mu, mu_2)`. The region's standard-normal quantiles depend only on the
+//! level, so [`Coverage`] evaluates them once for a whole batch.
+//! [`UnivariatePdf::moments`] then evaluates each family's shared terms once
+//! — for a truncated Normal `Phi` and `phi` at both bounds, four `exp` calls
+//! in all — and `mean`, `second_moment` and `variance` read the same terms,
+//! so every moment formula exists in one place. The results are the bits the
+//! separate per-moment evaluations would give.
+//!
+//! **Full coverage.** At `coverage = 1` the central region of a Normal or
+//! Exponential is unbounded. The truncated formulas then take the limits of
+//! their infinite-bound terms (`x phi(x) -> 0`, `c e^{-rate c} -> 0`), so the
+//! moments are finite and equal the untruncated pdf's up to rounding.
 
 use crate::math::{std_normal_cdf, std_normal_pdf, std_normal_quantile};
 use crate::region::Interval;
@@ -314,60 +329,58 @@ impl UnivariatePdf {
         }
     }
 
-    /// Exact expected value `mu` (Eq. 4).
-    pub fn mean(&self) -> f64 {
+    /// Exact expected value and second-order moment `(mu, mu_2)` (Eq. 4),
+    /// from one evaluation of the family's shared terms: a truncated Normal
+    /// evaluates `Phi` and `phi` once per bound, a truncated Exponential
+    /// `e^{-rate c}` once. [`Self::mean`], [`Self::second_moment`] and
+    /// [`Self::variance`] read the same terms and agree with this pair bit
+    /// for bit. Infinite truncation bounds take their limits (see the
+    /// module docs), so the moments stay finite at `coverage = 1`.
+    #[inline]
+    pub fn moments(&self) -> (f64, f64) {
         match self {
-            UnivariatePdf::PointMass { x } => *x,
-            UnivariatePdf::Uniform { lo, hi } => 0.5 * (lo + hi),
-            UnivariatePdf::Normal { mean, .. } => *mean,
+            UnivariatePdf::PointMass { x } => (*x, x * x),
+            UnivariatePdf::Uniform { lo, hi } => {
+                (0.5 * (lo + hi), (lo * lo + lo * hi + hi * hi) / 3.0)
+            }
+            UnivariatePdf::Normal { mean, sd } => (*mean, mean * mean + sd * sd),
             UnivariatePdf::TruncatedNormal { mean, sd, lo, hi } => {
-                let alpha = (lo - mean) / sd;
-                let beta = (hi - mean) / sd;
-                let z = std_normal_cdf(beta) - std_normal_cdf(alpha);
-                mean + sd * (std_normal_pdf(alpha) - std_normal_pdf(beta)) / z
-            }
-            UnivariatePdf::Exponential { origin, rate } => origin + 1.0 / rate,
-            UnivariatePdf::TruncatedExponential { origin, rate, hi } => {
-                // X = origin + Y with Y ~ Exp(rate) truncated to [0, c]:
-                // E[Y] = 1/rate - c e^{-rate c} / (1 - e^{-rate c}).
-                let c = hi - origin;
-                let e = (-(rate * c)).exp();
-                let z = 1.0 - e;
-                origin + 1.0 / rate - c * e / z
-            }
-            UnivariatePdf::Discrete { xs, ws } => xs.iter().zip(ws).map(|(&x, &w)| x * w).sum(),
-        }
-    }
-
-    /// Exact second-order moment `mu_2 = E[X^2]` (Eq. 4).
-    pub fn second_moment(&self) -> f64 {
-        match self {
-            UnivariatePdf::PointMass { x } => x * x,
-            UnivariatePdf::Uniform { lo, hi } => (lo * lo + lo * hi + hi * hi) / 3.0,
-            UnivariatePdf::Normal { mean, sd } => mean * mean + sd * sd,
-            UnivariatePdf::TruncatedNormal { .. } => {
-                let m = self.mean();
-                m * m + self.variance()
+                let t = TruncatedNormalTerms::new(*mean, *sd, *lo, *hi);
+                let m = t.mean();
+                (m, m * m + t.variance())
             }
             UnivariatePdf::Exponential { origin, rate } => {
                 let m = origin + 1.0 / rate;
-                m * m + 1.0 / (rate * rate)
+                (m, m * m + 1.0 / (rate * rate))
             }
             UnivariatePdf::TruncatedExponential { origin, rate, hi } => {
-                // X = origin + Y with Y ~ Exp(rate) truncated to [0, c]:
-                // E[X^2] = origin^2 + 2 origin E[Y] + E[Y^2].
-                let c = hi - origin;
-                let e = (-(rate * c)).exp();
-                let z = 1.0 - e;
-                let ey = 1.0 / rate - c * e / z;
-                let ey2 = exact_truncated_exp_second_moment(*rate, c, e, z);
-                origin * origin + 2.0 * origin * ey + ey2
+                let t = TruncatedExponentialTerms::new(*origin, *rate, *hi);
+                (t.mean(), t.second_moment())
             }
-            UnivariatePdf::Discrete { xs, ws } => xs.iter().zip(ws).map(|(&x, &w)| x * x * w).sum(),
+            UnivariatePdf::Discrete { xs, ws } => {
+                let atoms = || xs.iter().zip(ws);
+                (
+                    atoms().map(|(&x, &w)| x * w).sum(),
+                    atoms().map(|(&x, &w)| x * x * w).sum(),
+                )
+            }
         }
     }
 
-    /// Exact variance `sigma^2 = mu_2 - mu^2` (Eq. 5).
+    /// Exact expected value `mu` (Eq. 4); the first half of [`Self::moments`].
+    pub fn mean(&self) -> f64 {
+        self.moments().0
+    }
+
+    /// Exact second-order moment `mu_2 = E[X^2]` (Eq. 4); the second half of
+    /// [`Self::moments`].
+    pub fn second_moment(&self) -> f64 {
+        self.moments().1
+    }
+
+    /// Exact variance `sigma^2 = mu_2 - mu^2` (Eq. 5). Families with a
+    /// closed-form variance use it directly; the others take it from
+    /// [`Self::moments`], clamped at zero.
     pub fn variance(&self) -> f64 {
         match self {
             UnivariatePdf::PointMass { .. } => 0.0,
@@ -377,23 +390,12 @@ impl UnivariatePdf {
             }
             UnivariatePdf::Normal { sd, .. } => sd * sd,
             UnivariatePdf::TruncatedNormal { mean, sd, lo, hi } => {
-                let alpha = (lo - mean) / sd;
-                let beta = (hi - mean) / sd;
-                let z = std_normal_cdf(beta) - std_normal_cdf(alpha);
-                let pa = std_normal_pdf(alpha);
-                let pb = std_normal_pdf(beta);
-                let t1 = (alpha * pa - beta * pb) / z;
-                let t2 = (pa - pb) / z;
-                sd * sd * (1.0 + t1 - t2 * t2)
+                TruncatedNormalTerms::new(*mean, *sd, *lo, *hi).variance()
             }
             UnivariatePdf::Exponential { rate, .. } => 1.0 / (rate * rate),
-            UnivariatePdf::TruncatedExponential { .. } => {
-                let m = self.mean();
-                (self.second_moment() - m * m).max(0.0)
-            }
-            UnivariatePdf::Discrete { .. } => {
-                let m = self.mean();
-                (self.second_moment() - m * m).max(0.0)
+            UnivariatePdf::TruncatedExponential { .. } | UnivariatePdf::Discrete { .. } => {
+                let (m, m2) = self.moments();
+                (m2 - m * m).max(0.0)
             }
         }
     }
@@ -421,22 +423,46 @@ impl UnivariatePdf {
     /// interval starts at the support's left endpoint.
     ///
     /// This is the "region containing most of the area of `f_w`" used to
-    /// build uncertain objects in Section 5.1 (Case 2).
+    /// build uncertain objects in Section 5.1 (Case 2). Building many
+    /// regions at one level, prefer [`Self::truncate_to_coverage`] with one
+    /// [`Coverage`], which evaluates the level's quantiles once.
     pub fn central_region(&self, coverage: f64) -> Interval {
-        assert!(
-            (0.0..=1.0).contains(&coverage),
-            "coverage must be in [0,1], got {coverage}"
-        );
+        self.central_region_at(&Coverage::new(coverage))
+    }
+
+    /// [`Self::central_region`] at a precomputed [`Coverage`]: the Normal
+    /// and Exponential families read the level's quantiles from `cov`
+    /// instead of evaluating them (same bits as evaluating them here).
+    fn central_region_at(&self, cov: &Coverage) -> Interval {
         match self {
             UnivariatePdf::PointMass { x } => Interval::point(*x),
-            UnivariatePdf::Exponential { .. } | UnivariatePdf::TruncatedExponential { .. } => {
-                Interval::new(self.support().lo, self.quantile(coverage))
+            UnivariatePdf::Normal { mean, sd } => {
+                Interval::new(mean + sd * cov.z_lo, mean + sd * cov.z_hi)
             }
-            _ => {
-                let tail = 0.5 * (1.0 - coverage);
-                Interval::new(self.quantile(tail), self.quantile(1.0 - tail))
+            UnivariatePdf::Exponential { origin, rate } => {
+                let hi = if cov.level >= 1.0 {
+                    f64::INFINITY
+                } else {
+                    origin - cov.ln_rest / rate
+                };
+                Interval::new(*origin, hi)
             }
+            UnivariatePdf::TruncatedExponential { .. } => {
+                Interval::new(self.support().lo, self.quantile(cov.level))
+            }
+            _ => Interval::new(self.quantile(cov.tail), self.quantile(1.0 - cov.tail)),
         }
+    }
+
+    /// The Case-2 pdf of Section 5.1: `self` truncated to its central region
+    /// at `cov` and renormalized, or `None` when that region is a single
+    /// point (a point mass), which is kept as it is. The region's infinite
+    /// bounds at `coverage = 1` are fine: [`Self::moments`] takes their
+    /// limits.
+    #[inline]
+    pub fn truncate_to_coverage(&self, cov: &Coverage) -> Option<UnivariatePdf> {
+        let region = self.central_region_at(cov);
+        (region.width() > 0.0).then(|| self.truncate(region))
     }
 
     /// Restricts (truncates) the pdf to `region`, renormalizing its mass, and
@@ -560,16 +586,153 @@ impl UnivariatePdf {
     }
 }
 
+/// A coverage level (the share of a pdf's mass its Case-2 region holds,
+/// e.g. `0.95`) with the family-independent quantiles of that region
+/// evaluated once.
+///
+/// Each Normal region needs `Phi^{-1}` at both tails and each Exponential
+/// region needs `ln(1 - coverage)`; none depends on the pdf, so a batch of
+/// regions at one level builds one `Coverage` and shares it through
+/// [`UnivariatePdf::truncate_to_coverage`].
+#[derive(Debug, Clone, Copy)]
+pub struct Coverage {
+    /// The level itself, in `[0, 1]`.
+    level: f64,
+    /// Mass in each tail of a two-sided region: `(1 - level) / 2`.
+    tail: f64,
+    /// `Phi^{-1}(tail)`.
+    z_lo: f64,
+    /// `Phi^{-1}(1 - tail)`.
+    z_hi: f64,
+    /// `ln(1 - level)`, the one-sided (Exponential) quantile's log term.
+    ln_rest: f64,
+}
+
+impl Coverage {
+    /// Evaluates the quantiles of `level`. Panics unless `level` is in
+    /// `[0, 1]`.
+    pub fn new(level: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&level),
+            "coverage must be in [0,1], got {level}"
+        );
+        let tail = 0.5 * (1.0 - level);
+        Self {
+            level,
+            tail,
+            z_lo: std_normal_quantile(tail),
+            z_hi: std_normal_quantile(1.0 - tail),
+            ln_rest: (1.0 - level).ln(),
+        }
+    }
+}
+
 /// Mass of a Normal(mean, sd) on `[lo, hi]`.
 fn normal_mass(mean: f64, sd: f64, lo: f64, hi: f64) -> f64 {
     std_normal_cdf((hi - mean) / sd) - std_normal_cdf((lo - mean) / sd)
 }
 
-/// Exact `E[Y^2]` for `Y ~ Exp(rate)` truncated to `[0, c]`:
-/// `(2/rate^2 - e^{-rate c} (c^2 + 2c/rate + 2/rate^2)) / (1 - e^{-rate c})`.
+/// `x phi(x)`, taking its limit `0` at an infinite truncation bound (where
+/// the product would be `inf * 0 = NaN`).
 #[inline]
-fn exact_truncated_exp_second_moment(rate: f64, c: f64, e: f64, z: f64) -> f64 {
-    (2.0 / (rate * rate) - e * (c * c + 2.0 * c / rate + 2.0 / (rate * rate))) / z
+fn x_phi(x: f64, phi: f64) -> f64 {
+    if x.is_finite() {
+        x * phi
+    } else {
+        0.0
+    }
+}
+
+/// The standardized bounds `alpha = (lo - mean) / sd`, `beta` of a Normal
+/// truncated to `[lo, hi]`, with `Z = Phi(beta) - Phi(alpha)`, `phi(alpha)`
+/// and `phi(beta)`: every moment of the truncated Normal is built from
+/// these, each evaluated once.
+struct TruncatedNormalTerms {
+    mean: f64,
+    sd: f64,
+    alpha: f64,
+    beta: f64,
+    z: f64,
+    pa: f64,
+    pb: f64,
+}
+
+impl TruncatedNormalTerms {
+    fn new(mean: f64, sd: f64, lo: f64, hi: f64) -> Self {
+        let alpha = (lo - mean) / sd;
+        let beta = (hi - mean) / sd;
+        Self {
+            mean,
+            sd,
+            alpha,
+            beta,
+            z: std_normal_cdf(beta) - std_normal_cdf(alpha),
+            pa: std_normal_pdf(alpha),
+            pb: std_normal_pdf(beta),
+        }
+    }
+
+    /// `mean + sd (phi(alpha) - phi(beta)) / Z`.
+    fn mean(&self) -> f64 {
+        self.mean + self.sd * (self.pa - self.pb) / self.z
+    }
+
+    /// `sd^2 (1 + t1 - t2^2)` with `t1 = (alpha phi(alpha) - beta phi(beta)) / Z`
+    /// and `t2 = (phi(alpha) - phi(beta)) / Z`.
+    fn variance(&self) -> f64 {
+        let t1 = (x_phi(self.alpha, self.pa) - x_phi(self.beta, self.pb)) / self.z;
+        let t2 = (self.pa - self.pb) / self.z;
+        self.sd * self.sd * (1.0 + t1 - t2 * t2)
+    }
+}
+
+/// `X = origin + Y` with `Y ~ Exp(rate)` truncated to `[0, c]`,
+/// `c = hi - origin`: every moment is built from `e = e^{-rate c}` and
+/// `z = 1 - e`, each evaluated once.
+struct TruncatedExponentialTerms {
+    origin: f64,
+    rate: f64,
+    z: f64,
+    /// `c e / z`.
+    ce_z: f64,
+    /// `e (c^2 + 2c/rate + 2/rate^2)`.
+    e_poly: f64,
+}
+
+impl TruncatedExponentialTerms {
+    fn new(origin: f64, rate: f64, hi: f64) -> Self {
+        let c = hi - origin;
+        let e = (-(rate * c)).exp();
+        let z = 1.0 - e;
+        // Both products of `e` vanish as c -> inf, where evaluating them
+        // would give inf * 0 = NaN.
+        let (ce, e_poly) = if c.is_finite() {
+            (c * e, e * (c * c + 2.0 * c / rate + 2.0 / (rate * rate)))
+        } else {
+            (0.0, 0.0)
+        };
+        Self {
+            origin,
+            rate,
+            z,
+            ce_z: ce / z,
+            e_poly,
+        }
+    }
+
+    /// `E[X] = origin + 1/rate - c e / z`.
+    fn mean(&self) -> f64 {
+        self.origin + 1.0 / self.rate - self.ce_z
+    }
+
+    /// `E[X^2] = origin^2 + 2 origin E[Y] + E[Y^2]`, with
+    /// `E[Y^2] = (2/rate^2 - e (c^2 + 2c/rate + 2/rate^2)) / z`.
+    fn second_moment(&self) -> f64 {
+        let (origin, rate) = (self.origin, self.rate);
+        let ey = 1.0 / rate - self.ce_z;
+        let ey2 = (2.0 / (rate * rate) - self.e_poly) / self.z;
+        origin * origin + 2.0 * origin * ey + ey2
+    }
 }
 
 #[cfg(test)]
