@@ -84,7 +84,7 @@ use crate::pruning::{
     PruneCache, PruneCounters, PruneDecision, PruningConfig,
 };
 use ucpc_uncertain::arena::MomentView;
-use ucpc_uncertain::{Moments, SlabArena, UncertainObject};
+use ucpc_uncertain::{MomentArena, Moments, SlabArena, UncertainObject};
 
 pub use ucpc_uncertain::ObjectHandle;
 
@@ -136,6 +136,10 @@ pub struct IncrementalUcpc {
     pub(crate) totals: DriftTotals,
     pub(crate) cache: PruneCache,
     pub(crate) counters: PruneCounters,
+    /// One reusable moment row that [`Self::insert_staged`] decodes
+    /// arrivals into — scratch space, not logical state: snapshots skip
+    /// it and its contents never outlive one call.
+    pub(crate) staging: MomentArena,
 }
 
 impl IncrementalUcpc {
@@ -158,6 +162,7 @@ impl IncrementalUcpc {
             totals: DriftTotals::default(),
             cache: PruneCache::new(0, k),
             counters: PruneCounters::default(),
+            staging: MomentArena::default(),
         })
     }
 
@@ -262,19 +267,58 @@ impl IncrementalUcpc {
     /// or ±∞ entry (or an overflowing aggregate) are refused with
     /// [`ClusterError::NonFinite`] and change nothing.
     pub fn insert_moments(&mut self, mo: &Moments) -> Result<ObjectHandle, ClusterError> {
-        if mo.dims() != self.m {
+        self.insert_view(&mo.view())
+    }
+
+    /// [`Self::insert_moments`] for an arrival given as its
+    /// `(mu_j, (mu_2)_j)` pairs — WAL replay's path
+    /// ([`crate::wal::apply_record`]). The pairs are staged in the engine's
+    /// one reusable scratch row through the canonical moment fold, so the
+    /// row carries exactly the bits [`Moments::from_mu_mu2`] would give it,
+    /// and admitted through [`Self::insert_view`]. No allocation after the
+    /// first call.
+    pub(crate) fn insert_staged(
+        &mut self,
+        dims: usize,
+        fill: impl FnMut(usize) -> (f64, f64),
+    ) -> Result<ObjectHandle, ClusterError> {
+        if dims != self.m {
             return Err(ClusterError::DimensionMismatch {
                 expected: self.m,
-                found: mo.dims(),
+                found: dims,
                 index: self.labels.len(),
             });
         }
-        let v = mo.view();
+        // Moved out for the call so its view can be admitted while `self`
+        // is borrowed mutably; moving a `MomentArena` allocates nothing.
+        let mut staging = std::mem::take(&mut self.staging);
+        if staging.is_empty() {
+            staging.push_row_with(dims, fill);
+        } else {
+            staging.overwrite_row_with(0, dims, fill);
+        }
+        let admitted = self.insert_view(&staging.view(0));
+        self.staging = staging;
+        admitted
+    }
+
+    /// The one admission path behind [`Self::insert_moments`] and
+    /// [`Self::insert_staged`]: dimension check, finiteness check,
+    /// [`Self::price_insertion`], [`Self::commit_placed`]. The view's bits
+    /// are stored verbatim.
+    pub(crate) fn insert_view(&mut self, v: &MomentView<'_>) -> Result<ObjectHandle, ClusterError> {
+        if v.dims() != self.m {
+            return Err(ClusterError::DimensionMismatch {
+                expected: self.m,
+                found: v.dims(),
+                index: self.labels.len(),
+            });
+        }
         if !v.is_finite() {
             return Err(ClusterError::NonFinite);
         }
-        let best = self.price_insertion(&v);
-        Ok(self.commit_placed(&v, best))
+        let best = self.price_insertion(v);
+        Ok(self.commit_placed(v, best))
     }
 
     /// The placement scan of [`Self::insert`], factored out so the serving

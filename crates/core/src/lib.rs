@@ -73,6 +73,7 @@
 
 #![warn(missing_docs)]
 
+mod crc;
 pub mod fault;
 pub mod framework;
 pub mod incremental;
@@ -101,6 +102,6 @@ pub use snapshot::SnapshotError;
 pub use ucentroid::UCentroid;
 pub use ucpc::{Ucpc, UcpcResult};
 pub use wal::{
-    apply_record, recover, scan_wal, DurableIo, IoFault, Recovery, SharedVecIo, VecIo, WalDamage,
-    WalError, WalFsync, WalRecord, WalScan, WalWriter,
+    apply_record, recover, scan_wal, DurableIo, IoFault, LeF64s, LoggedMoments, Recovery,
+    SharedVecIo, VecIo, WalDamage, WalError, WalFsync, WalRecord, WalScan, WalWriter,
 };

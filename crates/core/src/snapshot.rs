@@ -71,11 +71,24 @@
 //! *before* allocating, so a hostile or bit-flipped count fails fast as
 //! [`SnapshotError::Truncated`] instead of reserving unbounded memory
 //! (`tests/snapshot_fuzz.rs` fuzzes it with truncations and bit flips).
+//! Rows decode straight from the chunk bytes into the arena.
+//!
+//! # Non-finite rows
+//!
+//! A checksum proves a chunk is what was written, not that a live engine
+//! wrote it. Restore therefore applies the ingress rule every insertion
+//! passes ([`MomentView::is_finite`](ucpc_uncertain::arena::MomentView::is_finite))
+//! to each rebuilt row, and refuses a row with a NaN or ±∞ moment, or with
+//! overflowing aggregates, as [`SnapshotError::Corrupt`] — restored, it
+//! would poison the cluster statistics on its removal. Cluster statistics
+//! are *not* checked: accumulation overflow lets a live engine reach
+//! non-finite statistics, and refusing them would make a reachable state
+//! unrecoverable.
 
 use crate::incremental::IncrementalUcpc;
 use crate::objective::{ClusterDrift, ClusterStats};
 use crate::pruning::{DriftTotals, PruneCache, PruneCounters, PruningConfig};
-use crate::wal::{crc32, DurableIo, IoFault, VecIo};
+use crate::wal::{crc32, f64_at, DurableIo, IoFault, VecIo};
 use std::fmt;
 use ucpc_uncertain::{MomentArena, SlabArena};
 
@@ -463,15 +476,22 @@ impl Decoder {
             if self.rows_seen == live {
                 return Err(SnapshotError::Corrupt("too many rows"));
             }
-            let mu = r.f64s(m)?;
-            let mu2 = r.f64s(m)?;
+            let row = r.take(m.checked_mul(16).ok_or(SnapshotError::Truncated)?)?;
+            let (mu, mu2) = row.split_at(8 * m);
             // Zero-fill freed slots up to the next live one.
             while self.labels[self.next_slot].is_none() {
                 self.push_free(m);
             }
             // The same canonical per-dimension fold the original insertion
-            // used — bit-identical row reconstruction.
-            self.arena.push_row_with(m, |d| (mu[d], mu2[d]));
+            // used, straight from the chunk bytes — bit-identical row
+            // reconstruction.
+            self.arena
+                .push_row_with(m, |d| (f64_at(mu, d), f64_at(mu2, d)));
+            // The ingress rule every live insertion passed: a row with a
+            // NaN/±∞ entry or an overflowing aggregate was never live.
+            if !self.arena.view(self.arena.len() - 1).is_finite() {
+                return Err(SnapshotError::Corrupt("non-finite moment row"));
+            }
             self.occupied.push(true);
             self.next_slot += 1;
             self.rows_seen += 1;
@@ -491,9 +511,11 @@ impl Decoder {
         let Some(meta) = self.meta.take() else {
             return Err(SnapshotError::Corrupt("chunk before META"));
         };
+        // A zero-dimensional row serializes to no bytes, so ROWS chunks
+        // cannot count them: with m = 0 every flagged-live slot owns one.
         if self.labels.len() != meta.n_slots
             || self.free.len() != meta.n_free
-            || self.rows_seen != meta.live
+            || (meta.m > 0 && self.rows_seen != meta.live)
         {
             return Err(SnapshotError::Truncated);
         }
@@ -503,11 +525,15 @@ impl Decoder {
                 "live count does not match slot flags",
             ));
         }
-        // Every live slot is behind the cursor (rows_seen == live ==
-        // flagged-live count); zero-fill the freed tail.
+        // Every live slot with a row is behind the cursor (rows_seen ==
+        // live == flagged-live count); fill the rest, freed slots as zeros
+        // and (m = 0 only) live slots as empty rows.
         while self.next_slot < meta.n_slots {
-            debug_assert!(self.labels[self.next_slot].is_none());
-            self.push_free(meta.m);
+            let live = self.labels[self.next_slot].is_some();
+            debug_assert!(!live || meta.m == 0);
+            self.arena.push_row_with(meta.m, |_| (0.0, 0.0));
+            self.occupied.push(live);
+            self.next_slot += 1;
         }
         Ok(IncrementalUcpc {
             m: meta.m,
@@ -522,6 +548,7 @@ impl Decoder {
             totals: meta.totals,
             cache: PruneCache::new(0, meta.k),
             counters: PruneCounters::default(),
+            staging: MomentArena::default(),
         })
     }
 }

@@ -16,10 +16,11 @@
 //!
 //! 1. **Moments round-trip through their defining bits.** Every arrival is
 //!    logged as its `(mu, mu_2)` vectors in raw little-endian IEEE-754 bits
-//!    (exactly like `UCPCSNAP`). All [`Moments`] construction funnels
-//!    through [`Moments::from_mu_mu2`], a pure function of those bits — so
-//!    rebuilding the arrival at recovery reproduces its variance row and
-//!    every scalar aggregate bit for bit.
+//!    (exactly like `UCPCSNAP`). The variance row and scalar aggregates are
+//!    a pure function of those bits, computed by one fold that
+//!    [`Moments::from_mu_mu2`] and the arena row writers share — so staging
+//!    the arrival into an arena row at recovery reproduces every bit the
+//!    live insertion stored, signed zeros included.
 //! 2. **Placement is a pure function of engine state and arrival bits.**
 //!    The serving layer's batched commit is shadow-asserted bit-identical
 //!    to the serial [`IncrementalUcpc::insert_moments`] scan at the same
@@ -53,12 +54,44 @@
 //!
 //! # Torn tails, corruption, and poisoning
 //!
-//! [`scan_wal`] walks frames until the first one that is torn (runs past
-//! the end of the buffer) or fails its checksum, then stops: everything
-//! before is the **valid prefix**, everything after is damage. [`recover`]
-//! replays the valid prefix and reports the damage as a [`WalDamage`]
-//! carrying the byte offset and frame index of the first damaged frame — a
-//! crash mid-append is expected, not an error in the log's past.
+//! One frame decoder walks the log until the first frame that is torn
+//! (runs past the end of the buffer), fails its checksum, or has a
+//! malformed payload, then stops: everything before is the **valid
+//! prefix**, everything after is damage. [`scan_wal`] indexes the valid
+//! prefix; [`recover`] replays it and reports the damage as a
+//! [`WalDamage`] carrying the byte offset and frame index of the first
+//! damaged frame — a crash mid-append is expected, not an error in the
+//! log's past.
+//!
+//! # Single-pass replay
+//!
+//! [`recover`] does not materialize the log before replaying it: each frame
+//! is applied as soon as its checksum and shape check out, by the same
+//! [`apply_record`] the crash-point harness folds over a [`scan_wal`]. A
+//! decoded [`WalRecord`] borrows the log buffer, and a commit decodes
+//! straight from the frame bytes into the engine's one reusable staging row,
+//! so replay allocates nothing per frame (`tests/wal_replay_alloc_free.rs`)
+//! and touches each log byte once. Streaming changes no outcome:
+//!
+//! * the header — magic, version, checksum, and the dimensionality check
+//!   against the snapshot engine — is settled before any frame applies, so
+//!   [`WalError::BadMagic`], [`WalError::UnsupportedVersion`] and
+//!   [`WalError::DimensionMismatch`] still precede any replay;
+//! * a frame is applied only once it is known to be intact, and frames
+//!   apply in log order, so the first intact frame that does not apply is
+//!   still the [`WalError::Replay`] a scan-then-apply pass would report —
+//!   damage further on was never reached by either;
+//! * damage stops the walk at the same frame, so `frames_applied`,
+//!   `valid_bytes` and the [`WalDamage`] offsets and index are unchanged.
+//!
+//! `tests/wal_recovery.rs` checks the streaming walk against the
+//! scan-then-apply fold at every cut point and every single-bit flip.
+//!
+//! Every frame, header and snapshot chunk is checked with [`crc32`], which
+//! runs a carry-less-multiply folding kernel where the CPU has one
+//! (x86_64 PCLMULQDQ, detected at run time) and slicing-by-8 tables
+//! elsewhere; the two agree bit for bit (`tests/crc32_kernel.rs`). Neither
+//! has a knob.
 //!
 //! A *write* failure is different: after a failed or short append the tail
 //! of the log is indeterminate, so any further append could sit after
@@ -77,6 +110,7 @@ use crate::incremental::{IncrementalUcpc, ObjectHandle};
 use crate::snapshot::SnapshotError;
 use std::fmt;
 use std::io::Write as _;
+#[cfg(doc)]
 use ucpc_uncertain::Moments;
 
 /// Magic prefix of a WAL byte stream.
@@ -90,69 +124,7 @@ const TAG_COMMIT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 const TAG_STABILIZE: u8 = 3;
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — table built at compile time
-// so the checksum needs no external crate and no runtime init.
-// ---------------------------------------------------------------------------
-
-// Slicing-by-8: table[0] is the classic byte-at-a-time table; table[k]
-// advances a byte through k additional zero bytes, so eight table lookups
-// retire eight input bytes per iteration. The WAL sits on the serving
-// layer's commit path and checksums every moment row, so the ~8x over the
-// byte-at-a-time loop is what keeps the `required_wal_overhead` gate
-// comfortable.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1usize;
-    while k < 8 {
-        let mut i = 0usize;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL frame and
-/// every snapshot chunk.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+pub use crate::crc::{crc32, crc32_table};
 
 /// Appends `vals` to `p` as LE IEEE-754 bit patterns — the format every
 /// commit frame and snapshot row section specifies. On little-endian
@@ -172,6 +144,15 @@ pub(crate) fn extend_f64_bits(p: &mut Vec<u8>, vals: &[f64]) {
             p.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
+}
+
+/// The `i`-th little-endian `f64` bit pattern of `bytes` — the decoding
+/// half of [`extend_f64_bits`], shared by WAL replay and snapshot restore.
+#[inline]
+pub(crate) fn f64_at(bytes: &[u8], i: usize) -> f64 {
+    f64::from_bits(u64::from_le_bytes(
+        bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -676,16 +657,13 @@ impl<I: DurableIo> WalWriter<I> {
 // Scanner
 // ---------------------------------------------------------------------------
 
-/// One decoded WAL frame — the unit of replay.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+/// One intact WAL frame — the unit of replay — borrowed from the log
+/// buffer it was decoded from: decoding copies and allocates nothing, so
+/// [`scan_wal`] and [`recover`] share it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WalRecord<'a> {
     /// An arrival committed into the engine, as its defining moment bits.
-    Commit {
-        /// Expected-value vector, bit-exact.
-        mu: Vec<f64>,
-        /// Second-order moment vector, bit-exact.
-        mu2: Vec<f64>,
-    },
+    Commit(LoggedMoments<'a>),
     /// An effective removal (the handle was live when logged).
     Remove(ObjectHandle),
     /// A stabilization of up to `passes` relocation passes.
@@ -693,6 +671,76 @@ pub enum WalRecord {
         /// Relocation passes requested.
         passes: u64,
     },
+}
+
+/// The `(mu, mu_2)` vectors of a logged arrival, borrowed from its commit
+/// frame: `mu` then `mu2`, `m` little-endian `f64` bit patterns each.
+/// One slice instead of two keeps a [`WalRecord`] at three words, the
+/// per-frame cost of a [`scan_wal`] index over a long log.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LoggedMoments<'a>(&'a [u8]);
+
+impl<'a> LoggedMoments<'a> {
+    /// Dimensionality `m`.
+    pub fn dims(&self) -> usize {
+        self.0.len() / 16
+    }
+
+    /// Expected-value vector, bit-exact.
+    pub fn mu(&self) -> LeF64s<'a> {
+        LeF64s(&self.0[..self.0.len() / 2])
+    }
+
+    /// Second-order moment vector, bit-exact.
+    pub fn mu2(&self) -> LeF64s<'a> {
+        LeF64s(&self.0[self.0.len() / 2..])
+    }
+}
+
+/// A run of `f64`s in the log's wire form — little-endian IEEE-754 bit
+/// patterns — borrowed from the log buffer. Log bytes carry no alignment,
+/// so values are read out one by one ([`Self::get`], [`Self::iter`]),
+/// never reinterpreted in place.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LeF64s<'a>(&'a [u8]);
+
+impl<'a> LeF64s<'a> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Whether the run is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Value `i`, bit-exact. Panics if `i >= self.len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        f64_at(self.0, i)
+    }
+
+    /// The values in order, bit-exact.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        let bytes = self.0;
+        (0..bytes.len() / 8).map(move |i| f64_at(bytes, i))
+    }
+}
+
+impl fmt::Debug for LoggedMoments<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LoggedMoments")
+            .field("mu", &self.mu())
+            .field("mu2", &self.mu2())
+            .finish()
+    }
+}
+
+impl fmt::Debug for LeF64s<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Where (and why) a WAL byte stream stops being intact — the damage
@@ -740,11 +788,12 @@ impl From<WalDamage> for WalError {
 /// Result of [`scan_wal`]: the intact prefix of a log, plus where (and
 /// why) it stops being intact.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalScan {
+pub struct WalScan<'a> {
     /// Dimensionality declared by the header, when the header was intact.
     pub m: Option<usize>,
-    /// Decoded frames of the valid prefix, in log order.
-    pub records: Vec<WalRecord>,
+    /// Decoded frames of the valid prefix, in log order, borrowed from the
+    /// scanned buffer.
+    pub records: Vec<WalRecord<'a>>,
     /// Byte offset just past frame `i` — `frame_ends[i]` is the smallest
     /// prefix of the log that still contains frames `0..=i` whole. The
     /// crash-point harness cuts at exactly these offsets.
@@ -766,134 +815,157 @@ pub struct WalScan {
 /// stops at the salvage point and reports the damage in
 /// [`WalScan::damage`], because a torn tail is exactly what a crash
 /// mid-append leaves behind.
-pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
-    let mut scan = WalScan {
-        m: None,
-        records: Vec::new(),
-        frame_ends: Vec::new(),
-        valid_bytes: 0,
-        damage: None,
-    };
-    if bytes.len() >= 8 && &bytes[..8] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
+///
+/// This is the indexed view of the log, for inspection and the crash-point
+/// harness; [`recover`] walks the same frames through the same decoder but
+/// applies each one as it passes, keeping no index.
+pub fn scan_wal(bytes: &[u8]) -> Result<WalScan<'_>, WalError> {
+    let mut frames = Frames::open(bytes)?;
+    let mut records = Vec::new();
+    let mut frame_ends = Vec::new();
+    while let Some(rec) = frames.next() {
+        records.push(rec);
+        frame_ends.push(frames.valid_bytes);
     }
-    if bytes.len() < WAL_HEADER_LEN {
-        scan.damage = Some(WalDamage {
-            offset: 0,
-            frame_index: 0,
-            reason: "torn header",
-        });
-        return Ok(scan);
-    }
-    let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    if crc32(&bytes[..20]) != stored {
-        scan.damage = Some(WalDamage {
-            offset: 0,
-            frame_index: 0,
-            reason: "header checksum mismatch",
-        });
-        return Ok(scan);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != WAL_VERSION {
-        return Err(WalError::UnsupportedVersion(version));
-    }
-    let m_raw = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let Ok(m) = usize::try_from(m_raw) else {
-        return Err(WalError::Corrupt {
+    Ok(WalScan {
+        m: frames.m,
+        records,
+        frame_ends,
+        valid_bytes: frames.valid_bytes,
+        damage: frames.damage,
+    })
+}
+
+/// The one frame decoder behind [`scan_wal`] and [`recover`]: checks the
+/// header once, then yields each intact frame — CRC verified, payload shape
+/// checked — until the end of the buffer or the first damaged frame, which
+/// it records in `damage` and stops at.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    /// Dimensionality declared by the header, when the header was intact.
+    m: Option<usize>,
+    /// Offset just past the last frame yielded (or the header).
+    valid_bytes: u64,
+    /// Frames yielded so far.
+    frames: u64,
+    damage: Option<WalDamage>,
+}
+
+impl<'a> Frames<'a> {
+    /// Validates the header. A torn or checksum-failing header is damage
+    /// (the walker then yields nothing); a foreign magic or version is a
+    /// hard error.
+    fn open(bytes: &'a [u8]) -> Result<Self, WalError> {
+        let mut walker = Self {
+            bytes,
+            m: None,
             valid_bytes: 0,
             frames: 0,
-            reason: "header dimensionality overflows usize",
-        });
-    };
-    scan.m = Some(m);
-    scan.valid_bytes = WAL_HEADER_LEN as u64;
-
-    let mut pos = WAL_HEADER_LEN;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok(scan);
-        }
-        // The damaged frame starts exactly where the valid prefix ends,
-        // and its index is the count of intact frames before it.
-        let damage = |reason| {
-            Some(WalDamage {
-                offset: scan.valid_bytes,
-                frame_index: scan.records.len() as u64,
-                reason,
-            })
+            damage: None,
         };
-        if remaining < 4 {
-            scan.damage = damage("torn frame length");
-            return Ok(scan);
+        if bytes.len() >= 8 && &bytes[..8] != WAL_MAGIC {
+            return Err(WalError::BadMagic);
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        if bytes.len() < WAL_HEADER_LEN {
+            walker.damage = Some(walker.damage_here("torn header"));
+            return Ok(walker);
+        }
+        let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
+        if crc32(&bytes[..20]) != stored {
+            walker.damage = Some(walker.damage_here("header checksum mismatch"));
+            return Ok(walker);
+        }
+        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        if version != WAL_VERSION {
+            return Err(WalError::UnsupportedVersion(version));
+        }
+        let m_raw = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        let Ok(m) = usize::try_from(m_raw) else {
+            return Err(WalError::Corrupt {
+                valid_bytes: 0,
+                frames: 0,
+                reason: "header dimensionality overflows usize",
+            });
+        };
+        walker.m = Some(m);
+        walker.valid_bytes = WAL_HEADER_LEN as u64;
+        Ok(walker)
+    }
+
+    /// The damaged frame starts exactly where the valid prefix ends, and
+    /// its index is the count of intact frames before it.
+    fn damage_here(&self, reason: &'static str) -> WalDamage {
+        WalDamage {
+            offset: self.valid_bytes,
+            frame_index: self.frames,
+            reason,
+        }
+    }
+
+    /// Decodes the frame at the cursor, or names what is wrong with it.
+    fn decode(&self, m: usize) -> Result<(WalRecord<'a>, usize), &'static str> {
+        let pos = self.valid_bytes as usize;
+        let rest = &self.bytes[pos..];
+        let Some(len_bytes) = rest.get(..4) else {
+            return Err("torn frame length");
+        };
+        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
         // Torn check first: a frame that runs past the end is a crash
         // mid-append, however implausible its length field.
-        let Some(frame_end) = pos
-            .checked_add(4)
-            .and_then(|p| p.checked_add(len))
-            .and_then(|p| p.checked_add(4))
-        else {
-            scan.damage = damage("torn frame");
-            return Ok(scan);
+        let Some(framed) = len.checked_add(8).filter(|&n| n <= rest.len()) else {
+            return Err("torn frame");
         };
-        if frame_end > bytes.len() {
-            scan.damage = damage("torn frame");
-            return Ok(scan);
+        let stored = u32::from_le_bytes(rest[framed - 4..framed].try_into().expect("crc"));
+        if crc32(&rest[..4 + len]) != stored {
+            return Err("frame checksum mismatch");
         }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored = u32::from_le_bytes(bytes[frame_end - 4..frame_end].try_into().expect("crc"));
-        if crc32(&bytes[pos..pos + 4 + len]) != stored {
-            scan.damage = damage("frame checksum mismatch");
-            return Ok(scan);
+        let frame = decode_payload(&rest[4..4 + len], m).ok_or("malformed frame payload")?;
+        Ok((frame, pos + framed))
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = WalRecord<'a>;
+
+    fn next(&mut self) -> Option<WalRecord<'a>> {
+        let m = self.m?;
+        if self.damage.is_some() || self.valid_bytes as usize == self.bytes.len() {
+            return None;
         }
-        let Some(record) = decode_payload(payload, m) else {
-            scan.damage = damage("malformed frame payload");
-            return Ok(scan);
-        };
-        scan.records.push(record);
-        scan.frame_ends.push(frame_end as u64);
-        scan.valid_bytes = frame_end as u64;
-        pos = frame_end;
+        match self.decode(m) {
+            Ok((frame, end)) => {
+                self.valid_bytes = end as u64;
+                self.frames += 1;
+                Some(frame)
+            }
+            Err(reason) => {
+                self.damage = Some(self.damage_here(reason));
+                None
+            }
+        }
     }
 }
 
 /// Decodes one checksummed frame payload; `None` if the tag or shape is
-/// wrong (allocation is bounded by the payload slice — no hostile length
-/// field reaches an allocator).
-fn decode_payload(payload: &[u8], m: usize) -> Option<WalRecord> {
+/// wrong. Nothing is allocated: the commit vectors stay borrowed.
+fn decode_payload(payload: &[u8], m: usize) -> Option<WalRecord<'_>> {
     let (&tag, body) = payload.split_first()?;
     match tag {
         TAG_COMMIT => {
             if body.len() != m.checked_mul(16)? {
                 return None;
             }
-            let f64_at = |i: usize| {
-                f64::from_bits(u64::from_le_bytes(
-                    body[i * 8..i * 8 + 8].try_into().expect("8 bytes"),
-                ))
-            };
-            let mu = (0..m).map(f64_at).collect();
-            let mu2 = (m..2 * m).map(f64_at).collect();
-            Some(WalRecord::Commit { mu, mu2 })
+            Some(WalRecord::Commit(LoggedMoments(body)))
         }
         TAG_REMOVE => {
-            if body.len() != 8 {
-                return None;
-            }
+            let body: [u8; 8] = body.try_into().ok()?;
             let slot = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
             let gen = u32::from_le_bytes(body[4..].try_into().expect("4 bytes"));
             Some(WalRecord::Remove(ObjectHandle::new(slot, gen)))
         }
-        TAG_STABILIZE => {
-            if body.len() != 8 {
-                return None;
-            }
-            let passes = u64::from_le_bytes(body.try_into().expect("8 bytes"));
-            Some(WalRecord::Stabilize { passes })
-        }
+        TAG_STABILIZE => Some(WalRecord::Stabilize {
+            passes: u64::from_le_bytes(body.try_into().ok()?),
+        }),
         _ => None,
     }
 }
@@ -920,31 +992,39 @@ pub struct Recovery {
     pub damage: Option<WalDamage>,
 }
 
-/// Replays one decoded WAL record on a live engine — the single replay
-/// step [`recover`] folds, exposed so the crash-point harness can finish
-/// an interrupted log suffix on a recovered engine.
+/// Replays one decoded WAL record on a live engine — the replay step
+/// [`recover`] runs on every intact frame as it walks the log, exposed so
+/// the crash-point harness can finish an interrupted log suffix on a
+/// recovered engine.
 ///
-/// A commit rebuilds the arrival via [`Moments::from_mu_mu2`] (bit-exact
-/// from the logged bits) and inserts it through the serial scan — which
-/// the serving layer's batched commit is shadow-asserted equal to — so
-/// replay reproduces labels, handles, and statistics bits exactly.
-pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord) -> Result<(), ClusterError> {
-    match rec {
-        WalRecord::Commit { mu, mu2 } => engine
-            .insert_moments(&Moments::from_mu_mu2(mu.clone(), mu2.clone()))
-            .map(|_| ()),
-        WalRecord::Remove(h) => engine.remove(*h),
+/// A commit decodes straight from the log bytes into the engine's reusable
+/// staging row, through the canonical moment fold (bit-identical to
+/// [`Moments::from_mu_mu2`] on the logged bits), and is admitted through
+/// the same path as [`IncrementalUcpc::insert_moments`] — whose serial
+/// scan the serving layer's batched commit is shadow-asserted equal to —
+/// so replay reproduces labels, handles, and statistics bits exactly, with
+/// no allocation.
+pub fn apply_record(engine: &mut IncrementalUcpc, rec: &WalRecord<'_>) -> Result<(), ClusterError> {
+    match *rec {
+        WalRecord::Commit(mo) => {
+            let (mu, mu2) = (mo.mu(), mo.mu2());
+            engine
+                .insert_staged(mo.dims(), |j| (mu.get(j), mu2.get(j)))
+                .map(|_| ())
+        }
+        WalRecord::Remove(h) => engine.remove(h),
         WalRecord::Stabilize { passes } => {
-            engine.stabilize(usize::try_from(*passes).unwrap_or(usize::MAX));
+            // Saturating: a stabilization stops at convergence anyway.
+            engine.stabilize(usize::try_from(passes).unwrap_or(usize::MAX));
             Ok(())
         }
     }
 }
 
 /// Rebuilds an engine from its last checkpoint plus the WAL written since:
-/// restores the snapshot, scans the log's valid prefix, and
-/// replays every intact frame. See the module docs for the byte-identity
-/// derivation and the salvage semantics.
+/// restores the snapshot, then walks the log's frames and applies each one
+/// as soon as its checksum and shape check out. See the module docs for
+/// the byte-identity derivation and the salvage semantics.
 ///
 /// An empty `wal` (crash before the log header was written) recovers to
 /// exactly the snapshot. A torn or corrupt tail truncates replay at the
@@ -962,8 +1042,8 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
             damage: None,
         });
     }
-    let scan = scan_wal(wal)?;
-    if let Some(m) = scan.m {
+    let mut frames = Frames::open(wal)?;
+    if let Some(m) = frames.m {
         if m != engine.m {
             return Err(WalError::DimensionMismatch {
                 expected: engine.m,
@@ -971,21 +1051,21 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
             });
         }
     }
-    for rec in &scan.records {
-        apply_record(&mut engine, rec).map_err(WalError::Replay)?;
+    for rec in &mut frames {
+        apply_record(&mut engine, &rec).map_err(WalError::Replay)?;
     }
     Ok(Recovery {
         engine,
-        frames_applied: scan.records.len() as u64,
-        valid_bytes: scan.valid_bytes,
-        damage: scan.damage,
+        frames_applied: frames.frames,
+        valid_bytes: frames.valid_bytes,
+        damage: frames.damage,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ucpc_uncertain::{UncertainObject, UnivariatePdf};
+    use ucpc_uncertain::{Moments, UncertainObject, UnivariatePdf};
 
     fn obj(c: f64) -> UncertainObject {
         UncertainObject::new(vec![
@@ -1015,13 +1095,21 @@ mod tests {
         assert_eq!(scan.m, Some(2));
         assert_eq!(scan.damage, None);
         assert_eq!(scan.valid_bytes, bytes.len() as u64);
+        assert_eq!(scan.records.len(), 3);
+        let WalRecord::Commit(mo) = scan.records[0] else {
+            panic!("{:?}", scan.records[0]);
+        };
+        assert_eq!(mo.dims(), 2);
+        assert_eq!(mo.mu().iter().collect::<Vec<_>>(), [1.5, -2.0]);
+        assert_eq!(mo.mu2().iter().collect::<Vec<_>>(), [3.0, 4.25]);
+        assert_eq!((mo.mu().len(), mo.mu().get(1)), (2, -2.0));
         assert_eq!(
-            scan.records,
-            vec![
-                WalRecord::Commit {
-                    mu: vec![1.5, -2.0],
-                    mu2: vec![3.0, 4.25],
-                },
+            format!("{mo:?}"),
+            "LoggedMoments { mu: [1.5, -2.0], mu2: [3.0, 4.25] }"
+        );
+        assert_eq!(
+            scan.records[1..],
+            [
                 WalRecord::Remove(ObjectHandle::new(7, 3)),
                 WalRecord::Stabilize { passes: 4 },
             ]
@@ -1203,6 +1291,63 @@ mod tests {
             recover(b"definitely not a snapshot", &[]).unwrap_err(),
             WalError::Snapshot(SnapshotError::BadMagic)
         ));
+    }
+
+    /// Every stored bit of a slab row.
+    fn row_bits(e: &IncrementalUcpc, slot: usize) -> Vec<u64> {
+        let v = e.slab.view(slot);
+        let rows = v.mu.iter().chain(v.mu2).chain(v.var);
+        let scalars = [v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu];
+        rows.chain(&scalars).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn signed_zero_and_empty_rows_survive_replay_and_restore_bit_for_bit() {
+        for (m, rows) in [
+            (
+                2,
+                vec![
+                    (vec![0.0, 0.0], vec![-0.0, -0.0]),
+                    (vec![-0.0, 1.0], vec![-0.0, 2.0]),
+                    (vec![-0.0, -0.0], vec![0.0, -0.0]),
+                ],
+            ),
+            (0, vec![(vec![], vec![]), (vec![], vec![])]),
+        ] {
+            let mut live = IncrementalUcpc::new(m, 2).unwrap();
+            let checkpoint = live.snapshot();
+            let mut w = WalWriter::create(VecIo::new(), m, WalFsync::Off).unwrap();
+            for (mu, mu2) in rows {
+                w.log_commit(&mu, &mu2).unwrap();
+                live.insert_moments(&Moments::from_mu_mu2(mu, mu2)).unwrap();
+            }
+            let log = w.into_io().into_bytes();
+            let replayed = recover(&checkpoint, &log).unwrap().engine;
+            let restored = IncrementalUcpc::restore(&live.snapshot()).unwrap();
+            let mut folded = IncrementalUcpc::restore(&checkpoint).unwrap();
+            for rec in scan_wal(&log).unwrap().records {
+                apply_record(&mut folded, &rec).unwrap();
+            }
+            for slot in 0..live.slot_rows() {
+                let want = row_bits(&live, slot);
+                assert_eq!(
+                    row_bits(&replayed, slot),
+                    want,
+                    "recover, m {m}, slot {slot}"
+                );
+                assert_eq!(
+                    row_bits(&folded, slot),
+                    want,
+                    "apply_record, m {m}, slot {slot}"
+                );
+                assert_eq!(
+                    row_bits(&restored, slot),
+                    want,
+                    "restore, m {m}, slot {slot}"
+                );
+            }
+            assert_eq!(restored.snapshot(), live.snapshot(), "m {m}");
+        }
     }
 
     #[test]

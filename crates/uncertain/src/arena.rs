@@ -101,8 +101,9 @@ impl MomentView<'_> {
 }
 
 /// Contiguous row-major SoA storage of the moments of `n` objects over `m`
-/// dimensions, with precomputed per-object scalar aggregates.
-#[derive(Debug, Clone, PartialEq)]
+/// dimensions, with precomputed per-object scalar aggregates. The default
+/// is an empty arena with nothing reserved.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MomentArena {
     n: usize,
     m: usize,
@@ -197,8 +198,9 @@ impl MomentArena {
     /// dimension's `(mu_j, (mu_2)_j)` pair and the arena derives the
     /// variance (`(mu_2 − mu²)⁺`, Eq. 5 with the same
     /// cancellation clamp as [`Moments::from_mu_mu2`]) and the scalar
-    /// aggregates in the same per-dimension fold order — so a row built here
-    /// is bit-identical to pushing the equivalent `Moments`. This is the
+    /// aggregates through the same fold `Moments::from_mu_mu2` runs — so a
+    /// row built here is bit-identical to pushing the equivalent `Moments`,
+    /// signed zeros included. This is the
     /// batch pipeline's write path: no per-object vectors exist, and with
     /// capacity reserved ([`Self::with_capacity`] / [`Self::reserve_rows`])
     /// the fill performs no heap allocation at all.
@@ -388,15 +390,16 @@ impl MomentArena {
     }
 }
 
-/// The one canonical per-row fold behind [`MomentArena::push_row_with`]
-/// and [`MomentArena::overwrite_row_with`]: derives each dimension's
-/// variance (`(mu_2 − mu²)⁺`, the same cancellation clamp as
-/// [`Moments::from_mu_mu2`]), hands the triple to `write`, and accumulates
-/// the scalar aggregates in dimension order. Appended and overwritten rows
-/// are bit-identical *because this fold exists exactly once* — the two
-/// write paths differ only in where `write` puts the values.
+/// The one canonical per-row fold behind [`Moments::from_mu_mu2`],
+/// [`MomentArena::push_row_with`] and [`MomentArena::overwrite_row_with`]:
+/// derives each dimension's variance (`(mu_2 − mu²)⁺`, Eq. 5 with a
+/// cancellation clamp), hands the triple to `write`, and accumulates the
+/// scalar aggregates in dimension order from `+0.0`. Owned, appended and
+/// overwritten rows are bit-identical — signed zeros and `m = 0` included —
+/// *because this fold exists exactly once*: the three write paths differ
+/// only in where `write` puts the values.
 #[inline]
-fn fold_row(
+pub(crate) fn fold_row(
     dims: usize,
     mut fill: impl FnMut(usize) -> (f64, f64),
     mut write: impl FnMut(usize, f64, f64, f64),
@@ -619,6 +622,51 @@ mod tests {
         arena.overwrite_row_view(0, &v0);
         arena.overwrite_row_view(1, &v1);
         assert_eq!(arena, reference);
+    }
+
+    /// Every field of a view as raw bits (`f64` equality would let a
+    /// `-0.0`/`+0.0` split through).
+    fn view_bits(v: &MomentView<'_>) -> Vec<u64> {
+        let rows = v.mu.iter().chain(v.mu2).chain(v.var);
+        let scalars = [v.sum_mu_sq, v.sum_mu2, v.sum_var, v.norm_mu];
+        rows.chain(&scalars).map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn signed_zero_and_empty_rows_are_bit_identical_across_constructors() {
+        let cases: [(Vec<f64>, Vec<f64>); 5] = [
+            (vec![0.0, 0.0], vec![-0.0, -0.0]),
+            (vec![-0.0, -0.0], vec![-0.0, -0.0]),
+            (vec![-0.0, 0.0], vec![0.0, -0.0]),
+            (vec![-0.0], vec![-0.0]),
+            (vec![], vec![]),
+        ];
+        for (mu, mu2) in cases {
+            let m = mu.len();
+            let what = format!("mu {mu:?}, mu2 {mu2:?}");
+            let mo = Moments::from_mu_mu2(mu.clone(), mu2.clone());
+            let want = view_bits(&mo.view());
+            let pushed = MomentArena::from_moments([&mo]);
+            let mut filled = MomentArena::with_capacity(1, m);
+            filled.push_row_with(m, |j| (mu[j], mu2[j]));
+            let mut overwritten =
+                MomentArena::from_moments([&Moments::from_mu_mu2(vec![3.0; m], vec![10.0; m])]);
+            overwritten.overwrite_row_with(0, m, |j| (mu[j], mu2[j]));
+            let mut copied = MomentArena::from_moments([&mo]);
+            copied.overwrite_row(0, &mo);
+            for (path, arena) in [
+                ("push", &pushed),
+                ("push_row_with", &filled),
+                ("overwrite_row_with", &overwritten),
+                ("overwrite_row", &copied),
+            ] {
+                assert_eq!(view_bits(&arena.view(0)), want, "{path}: {what}");
+            }
+        }
+        // The sums start from +0.0, so an all-negative-zero row sums to +0.0.
+        let mo = Moments::from_mu_mu2(vec![0.0, 0.0], vec![-0.0, -0.0]);
+        assert_eq!(mo.sum_mu2().to_bits(), 0.0f64.to_bits());
+        assert_eq!(Moments::from_mu_mu2(vec![], vec![]).norm_mu().to_bits(), 0);
     }
 
     #[test]

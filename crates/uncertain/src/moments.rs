@@ -30,20 +30,22 @@ impl Moments {
     ///
     /// Tiny negative variances caused by floating-point cancellation are
     /// clamped to zero so degenerate (point-mass) dimensions are exact.
+    ///
+    /// The variance row and the scalar aggregates come out of the arena's
+    /// canonical per-row fold (`arena::fold_row`), the same code
+    /// [`crate::arena::MomentArena::push_row_with`] and
+    /// [`crate::arena::MomentArena::overwrite_row_with`] run — so a row
+    /// built from the same `(mu, mu2)` bits by any of the three carries the
+    /// same bits, signed zeros included.
     pub fn from_mu_mu2(mu: Vec<f64>, mu2: Vec<f64>) -> Self {
         assert_eq!(mu.len(), mu2.len(), "moment vectors must have equal length");
-        let var: Box<[f64]> = mu
-            .iter()
-            .zip(&mu2)
-            .map(|(&m, &m2)| (m2 - m * m).max(0.0))
-            .collect();
-        let total_var = var.iter().sum();
-        let sum_mu_sq: f64 = mu.iter().map(|&m| m * m).sum();
-        let sum_mu2 = mu2.iter().sum();
+        let mut var = Vec::with_capacity(mu.len());
+        let (sum_mu_sq, sum_mu2, total_var) =
+            crate::arena::fold_row(mu.len(), |j| (mu[j], mu2[j]), |_, _, _, v| var.push(v));
         Self {
             mu: mu.into(),
             mu2: mu2.into(),
-            var,
+            var: var.into(),
             total_var,
             sum_mu_sq,
             sum_mu2,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 use ucpc::core::incremental::IncrementalUcpc;
-use ucpc::core::wal::crc32;
+use ucpc::core::wal::{crc32, recover, WalError};
 use ucpc::core::{PruningConfig, SnapshotError};
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
@@ -134,4 +134,57 @@ fn hostile_v2_chunk_length_fails_fast_without_allocating() {
     let mut bent = v2.clone();
     bent[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(IncrementalUcpc::restore(&bent).is_err());
+}
+
+/// Overwrites the `f64` at `index` (counting `f64`s from the start of the
+/// payload) of the first ROWS chunk and re-seals its CRC, so only the
+/// decoder's row check can reject it. Rows are `mu` then `mu2`, `m` each.
+fn patch_first_row(v: &[u8], index: usize, value: f64) -> Vec<u8> {
+    let mut bent = v.to_vec();
+    let mut pos = 12;
+    loop {
+        let kind = bent[pos];
+        let len = u32::from_le_bytes(bent[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        if kind == 4 {
+            let at = pos + 5 + 8 * index;
+            bent[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+            let crc = crc32(&bent[pos..pos + 5 + len]);
+            bent[pos + 5 + len..pos + 9 + len].copy_from_slice(&crc.to_le_bytes());
+            return bent;
+        }
+        pos += 9 + len;
+    }
+}
+
+/// A checkpoint row no live engine could hold — a NaN or ±∞ moment, or
+/// one whose aggregates overflow — is refused under the same ingress rule
+/// every insertion passes, even with a valid checksum: restoring it would
+/// let a later remove poison the cluster statistics.
+#[test]
+fn non_finite_moment_rows_are_corrupt() {
+    let v = &victims()[1];
+    // m = 2: a row is mu[0], mu[1], mu2[0], mu2[1].
+    for (index, value) in [
+        (0, f64::NAN),
+        (1, f64::INFINITY),
+        (2, f64::NEG_INFINITY),
+        (3, f64::NAN),
+        (0, f64::NEG_INFINITY),
+        (3, f64::INFINITY),
+        (0, 1e200),
+    ] {
+        let bent = patch_first_row(v, index, value);
+        assert_eq!(
+            IncrementalUcpc::restore(&bent).unwrap_err(),
+            SnapshotError::Corrupt("non-finite moment row"),
+            "row field {index} = {value}"
+        );
+        assert_eq!(
+            recover(&bent, &[]).unwrap_err(),
+            WalError::Snapshot(SnapshotError::Corrupt("non-finite moment row")),
+            "recover, row field {index} = {value}"
+        );
+    }
+    // The patch itself is sound: a finite value restores.
+    assert!(IncrementalUcpc::restore(&patch_first_row(v, 0, 0.5)).is_ok());
 }

@@ -16,7 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ucpc::core::incremental::{IncrementalUcpc, ObjectHandle};
 use ucpc::core::serving::{ServingConfig, ServingResponse, ServingUcpc};
-use ucpc::core::wal::{apply_record, recover, scan_wal, SharedVecIo, WalScan, WAL_HEADER_LEN};
+use ucpc::core::wal::{
+    apply_record, recover, scan_wal, Recovery, SharedVecIo, WalError, WalScan, WAL_HEADER_LEN,
+};
 use ucpc::core::PruningConfig;
 use ucpc::uncertain::{UncertainObject, UnivariatePdf};
 
@@ -68,8 +70,14 @@ fn settled(pruning: PruningConfig) -> IncrementalUcpc {
 struct LoggedRun {
     checkpoint: Vec<u8>,
     wal: Vec<u8>,
-    scan: WalScan,
     serving: ServingUcpc,
+}
+
+impl LoggedRun {
+    /// The uncut log's frames (records borrow `wal`).
+    fn scan(&self) -> WalScan<'_> {
+        scan_wal(&self.wal).expect("own log scans")
+    }
 }
 
 /// Runs the script through a serving engine logging into a shared sink.
@@ -137,7 +145,6 @@ fn logged_run(pruning: PruningConfig) -> LoggedRun {
     LoggedRun {
         checkpoint,
         wal,
-        scan,
         serving,
     }
 }
@@ -165,14 +172,15 @@ fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
         let what = format!("{pruning:?}");
         let run = logged_run(pruning);
         assert_eq!(run.wal, oracle.wal, "logged frames diverged: {what}");
-        for cut in cut_points(&run.scan, run.wal.len()) {
+        let scan = run.scan();
+        for cut in cut_points(&scan, run.wal.len()) {
             let rec = recover(&run.checkpoint, &run.wal[..cut])
                 .unwrap_or_else(|e| panic!("{what}, cut {cut}: {e}"));
             // A cut on a frame boundary (or before any log bytes) is a
             // clean prefix; anything else must be reported as damage
             // with the salvage point right at the last boundary.
             let boundary =
-                cut == 0 || cut == WAL_HEADER_LEN || run.scan.frame_ends.contains(&(cut as u64));
+                cut == 0 || cut == WAL_HEADER_LEN || scan.frame_ends.contains(&(cut as u64));
             if boundary {
                 assert!(rec.damage.is_none(), "{what}, cut {cut}: {:?}", rec.damage);
                 assert_eq!(rec.valid_bytes as usize, cut, "{what}, cut {cut}");
@@ -182,7 +190,7 @@ fn recovery_at_every_cut_point_is_bit_identical_across_the_matrix() {
             }
             // Finish the script: replay the records the crash cut off.
             let mut engine = rec.engine;
-            for r in &run.scan.records[rec.frames_applied as usize..] {
+            for r in &scan.records[rec.frames_applied as usize..] {
                 apply_record(&mut engine, r).expect("suffix replays");
             }
             assert_eq!(
@@ -243,7 +251,6 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
     // serving layer refuses the unlogged mutations (log-before-apply), and
     // recovery from the torn sink must reproduce exactly the engine the
     // survivor is left holding.
-    use ucpc::core::wal::WalError;
     let engine = settled(PruningConfig::Bounds);
     let checkpoint = engine.snapshot();
     let mut serving = ServingUcpc::over(
@@ -296,8 +303,9 @@ fn recovery_from_a_faulted_writer_matches_the_applied_prefix() {
 fn damage_report_carries_offset_and_frame_index_of_first_damaged_frame() {
     let run = logged_run(PruningConfig::Bounds);
     // Damage frame 5 (0-based): its bytes span frame_ends[4]..frame_ends[5].
-    let start = run.scan.frame_ends[4];
-    let end = run.scan.frame_ends[5];
+    let frame_ends = run.scan().frame_ends;
+    let start = frame_ends[4];
+    let end = frame_ends[5];
 
     // Mid-frame truncation: the report must name the damaged frame's own
     // byte offset and index, not just flag "damaged somewhere".
@@ -369,7 +377,7 @@ fn checkpoint_rotation_under_injected_sync_failure_is_atomic() {
     let err = serving
         .checkpoint_into(&mut bad_snap, fresh.clone())
         .expect_err("failing snapshot sync must refuse the rotation");
-    assert!(matches!(err, ucpc::core::wal::WalError::Io(_)), "{err:?}");
+    assert!(matches!(err, WalError::Io(_)), "{err:?}");
     assert!(
         serving.wal().unwrap().poisoned().is_some(),
         "failed rotation must leave the old (poisoned) writer in place"
@@ -412,5 +420,152 @@ fn checkpoint_rotation_under_injected_sync_failure_is_atomic() {
     assert_eq!(
         rec.engine.objective().to_bits(),
         serving.engine().objective().to_bits()
+    );
+}
+
+/// The two-phase recovery `recover` streams: restore, materialize every
+/// intact frame with `scan_wal`, then fold `apply_record` over the
+/// records — the reference the streaming walk must equal.
+fn two_phase(checkpoint: &[u8], wal: &[u8]) -> Result<Recovery, WalError> {
+    let mut engine = IncrementalUcpc::restore(checkpoint).map_err(WalError::Snapshot)?;
+    if wal.is_empty() {
+        return Ok(Recovery {
+            engine,
+            frames_applied: 0,
+            valid_bytes: 0,
+            damage: None,
+        });
+    }
+    let scan = scan_wal(wal)?;
+    let dims = engine.cluster_stats()[0].psi().len();
+    if let Some(m) = scan.m.filter(|&m| m != dims) {
+        return Err(WalError::DimensionMismatch {
+            expected: dims,
+            found: m,
+        });
+    }
+    for rec in &scan.records {
+        apply_record(&mut engine, rec).map_err(WalError::Replay)?;
+    }
+    Ok(Recovery {
+        engine,
+        frames_applied: scan.records.len() as u64,
+        valid_bytes: scan.valid_bytes,
+        damage: scan.damage,
+    })
+}
+
+/// Every `Recovery` field, and the engine's labels, handles, statistic
+/// bits, objective bits and snapshot bytes — or the identical error.
+fn assert_same_outcome(
+    streamed: &Result<Recovery, WalError>,
+    folded: &Result<Recovery, WalError>,
+    what: &str,
+) {
+    match (streamed, folded) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.frames_applied, b.frames_applied, "{what}: frames");
+            assert_eq!(a.valid_bytes, b.valid_bytes, "{what}: valid bytes");
+            assert_eq!(a.damage, b.damage, "{what}: damage");
+            assert_eq!(
+                a.engine.live_labels(),
+                b.engine.live_labels(),
+                "{what}: labels"
+            );
+            assert_eq!(
+                a.engine.cluster_stats(),
+                b.engine.cluster_stats(),
+                "{what}: statistics"
+            );
+            assert_eq!(
+                a.engine.objective().to_bits(),
+                b.engine.objective().to_bits(),
+                "{what}: objective"
+            );
+            assert_eq!(a.engine.snapshot(), b.engine.snapshot(), "{what}: state");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}: error"),
+        (a, b) => panic!(
+            "{what}: streaming gave {:?}, two-phase gave {:?}",
+            a.as_ref().map(|r| r.frames_applied),
+            b.as_ref().map(|r| r.frames_applied)
+        ),
+    }
+}
+
+#[test]
+fn streaming_recovery_equals_scan_then_apply_on_every_cut_and_flip() {
+    for pruning in [PruningConfig::Off, PruningConfig::Bounds] {
+        let run = logged_run(pruning);
+        for cut in cut_points(&run.scan(), run.wal.len()) {
+            let log = &run.wal[..cut];
+            assert_same_outcome(
+                &recover(&run.checkpoint, log),
+                &two_phase(&run.checkpoint, log),
+                &format!("{pruning:?}, cut {cut}"),
+            );
+        }
+        for pos in 0..run.wal.len() {
+            let mut bent = run.wal.clone();
+            bent[pos] ^= 1 << (pos % 8);
+            assert_same_outcome(
+                &recover(&run.checkpoint, &bent),
+                &two_phase(&run.checkpoint, &bent),
+                &format!("{pruning:?}, flip at {pos}"),
+            );
+        }
+        for pos in (0..run.checkpoint.len()).step_by(7) {
+            let mut bent = run.checkpoint.clone();
+            bent[pos] ^= 1 << (pos % 8);
+            assert_same_outcome(
+                &recover(&bent, &run.wal),
+                &two_phase(&bent, &run.wal),
+                &format!("{pruning:?}, checkpoint flip at {pos}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn streaming_recovery_keeps_error_precedence() {
+    let run = logged_run(PruningConfig::Bounds);
+    let engine = settled(PruningConfig::Bounds);
+    let mut writer =
+        ucpc::core::wal::WalWriter::create(SharedVecIo::new(), 2, ucpc::core::wal::WalFsync::Off)
+            .unwrap();
+    // Two applicable frames, then a remove of a never-live handle, then a
+    // torn tail: the replay error wins over the later damage.
+    writer.log_commit(&[1.0, 2.0], &[1.5, 4.5]).unwrap();
+    writer.log_stabilize(1).unwrap();
+    writer.log_remove(ObjectHandle::new(999, 3)).unwrap();
+    writer.log_commit(&[0.5, 0.5], &[0.5, 0.5]).unwrap();
+    let mut bad = writer.io().bytes();
+    bad.truncate(bad.len() - 3);
+    let streamed = recover(&run.checkpoint, &bad);
+    assert!(
+        matches!(streamed, Err(WalError::Replay(_))),
+        "{:?}",
+        streamed.as_ref().err()
+    );
+    assert_same_outcome(&streamed, &two_phase(&run.checkpoint, &bad), "replay error");
+
+    // A header for another dimensionality is refused before any frame.
+    let foreign =
+        ucpc::core::wal::WalWriter::create(SharedVecIo::new(), 5, ucpc::core::wal::WalFsync::Off)
+            .unwrap();
+    let mut foreign_log = foreign.io().bytes();
+    foreign_log.extend_from_slice(&bad[WAL_HEADER_LEN..]);
+    let streamed = recover(&engine.snapshot(), &foreign_log);
+    assert_eq!(
+        streamed.as_ref().err(),
+        Some(&WalError::DimensionMismatch {
+            expected: 2,
+            found: 5
+        })
+    );
+    assert_same_outcome(
+        &streamed,
+        &two_phase(&engine.snapshot(), &foreign_log),
+        "dimension mismatch",
     );
 }
